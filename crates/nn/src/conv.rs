@@ -139,12 +139,10 @@ impl Layer for Conv3d {
         let packed_w = PackedA::pack(&wm)?;
         let bv = self.bias.value.as_slice().to_vec();
         let mut cols = Tensor::zeros(&[k, positions]);
-        // Scratch output reused across items: the GEMM overwrites every
-        // element, so stale values never leak between items.
-        let mut out = Tensor::zeros(&[self.out_channels, positions]);
         let mut outs = Vec::with_capacity(inputs.len());
         for input in inputs {
             im2col3d_into(input, &self.spec, &mut cols)?;
+            let mut out = Tensor::zeros(&[self.out_channels, positions]);
             gemm_packed(&packed_w, &cols, &mut out)?;
             let ov = out.as_mut_slice();
             for (o, &b) in bv.iter().enumerate() {
@@ -152,7 +150,8 @@ impl Layer for Conv3d {
                     *x += b;
                 }
             }
-            outs.push(out.reshape(&[self.out_channels, out_thw.0, out_thw.1, out_thw.2])?);
+            let dims = [self.out_channels, out_thw.0, out_thw.1, out_thw.2];
+            outs.push(Tensor::from_vec(out.into_vec(), &dims)?);
         }
         Ok(outs)
     }

@@ -1,14 +1,14 @@
 use crate::{Layer, NnError, Param, Result};
-use duo_tensor::{gemm_bias, Rng64, Tensor};
+use duo_tensor::{Rng64, Tensor};
+
+/// Output rows [`Linear`] keeps in flight at once.
+const ROWS: usize = 8;
 
 /// Fully-connected layer: `y = W x + b` over rank-1 inputs.
 ///
-/// The batched inference path ([`Layer::infer_batch`]) stacks the batch
-/// into one `[batch, in] × [in, out]` product on the blocked (and, for
-/// large batches, multi-threaded) GEMM kernel. Each output element still
-/// accumulates `w·x` in the same index order as the per-sample path and
-/// adds the bias last, so the batched result is bit-identical to calling
-/// [`Layer::infer`] per sample.
+/// Batches run per sample through the [`Layer::infer_batch`] default: the
+/// interleaved per-sample kernel streams `W` once per clip, cheaper than
+/// transposing it for a batched GEMM at serving batch sizes.
 pub struct Linear {
     weight: Param,
     bias: Param,
@@ -47,17 +47,35 @@ impl Linear {
                 ),
             });
         }
-        // Products fold with fused multiply-add from 0.0 in index order,
-        // bias lands last — the same per-element float program as the
-        // fused-bias GEMM ([`duo_tensor::gemm_bias`]) that `infer_batch`
-        // rides, so the batched path is bit-identical to this one.
+        // Each output folds its products with fused multiply-add from 0.0
+        // in increasing index order and adds the bias last. Eight rows run
+        // interleaved so eight independent FMA chains hide each other's
+        // latency; a row's own chain, and so its bits, does not change.
         let mut out = Tensor::zeros(&[self.out_features]);
+        let nin = self.in_features;
         let wv = self.weight.value.as_slice();
         let bv = self.bias.value.as_slice();
-        let xv = input.as_slice();
-        for (o, out_val) in out.as_mut_slice().iter_mut().enumerate() {
-            let row = &wv[o * self.in_features..(o + 1) * self.in_features];
-            *out_val = row.iter().zip(xv).fold(0.0f32, |s, (w, &x)| w.mul_add(x, s)) + bv[o];
+        let xv = &input.as_slice()[..nin];
+        let ov = out.as_mut_slice();
+        let blocked = ov.len() / ROWS * ROWS;
+        for (o, (outs, block)) in
+            ov[..blocked].chunks_exact_mut(ROWS).zip(wv.chunks_exact(ROWS * nin)).enumerate()
+        {
+            let rows: [&[f32]; ROWS] = std::array::from_fn(|r| &block[r * nin..(r + 1) * nin]);
+            let mut acc = [0.0f32; ROWS];
+            for i in 0..nin {
+                let x = xv[i];
+                for r in 0..ROWS {
+                    acc[r] = rows[r][i].mul_add(x, acc[r]);
+                }
+            }
+            for ((y, a), b) in outs.iter_mut().zip(acc).zip(&bv[o * ROWS..]) {
+                *y = a + b;
+            }
+        }
+        for (o, y) in ov.iter_mut().enumerate().skip(blocked) {
+            let row = &wv[o * nin..(o + 1) * nin];
+            *y = row.iter().zip(xv).fold(0.0f32, |s, (w, &x)| w.mul_add(x, s)) + bv[o];
         }
         Ok(out)
     }
@@ -81,54 +99,6 @@ impl Layer for Linear {
 
     fn infer(&self, input: &Tensor) -> Result<Tensor> {
         self.compute(input)
-    }
-
-    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        if inputs.len() < 2 {
-            return inputs.iter().map(|x| self.infer(x)).collect();
-        }
-        for input in inputs {
-            if input.rank() != 1 || input.len() != self.in_features {
-                return Err(NnError::BadInput {
-                    layer: "Linear",
-                    reason: format!(
-                        "expected rank-1 input of length {}, got {:?}",
-                        self.in_features,
-                        input.dims()
-                    ),
-                });
-            }
-        }
-        let (batch, nin, nout) = (inputs.len(), self.in_features, self.out_features);
-        let mut xmat = Tensor::zeros(&[batch, nin]);
-        let xv = xmat.as_mut_slice();
-        for (s, input) in inputs.iter().enumerate() {
-            xv[s * nin..(s + 1) * nin].copy_from_slice(input.as_slice());
-        }
-        // The GEMM streams rows of B, so multiply against Wᵀ [in, out]
-        // rather than W [out, in]; the p-order of the accumulation (over
-        // `in`) matches the per-sample dot product exactly.
-        let wv = self.weight.value.as_slice();
-        let mut wt = Tensor::zeros(&[nin, nout]);
-        let wtv = wt.as_mut_slice();
-        for o in 0..nout {
-            for i in 0..nin {
-                wtv[i * nout + o] = wv[o * nin + i];
-            }
-        }
-        // Fused-bias GEMM: one pass writes `x·Wᵀ + b` directly instead of
-        // a matmul followed by a bias sweep over the whole output. Each
-        // element accumulates products in the same order as `compute` and
-        // adds the bias last, hence the same bits.
-        let mut ymat = Tensor::zeros(&[batch, nout]);
-        gemm_bias(&xmat, &wt, &self.bias.value, &mut ymat)?;
-        let yv = ymat.as_slice();
-        (0..batch)
-            .map(|s| {
-                Tensor::from_vec(yv[s * nout..(s + 1) * nout].to_vec(), &[nout])
-                    .map_err(NnError::from)
-            })
-            .collect()
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -266,7 +236,7 @@ mod tests {
         let batched = lin.infer_batch(&inputs).unwrap();
         for (x, y) in inputs.iter().zip(&batched) {
             let single = lin.infer(x).unwrap();
-            assert_eq!(single.as_slice(), y.as_slice(), "batched GEMM path must not drift");
+            assert_eq!(single.as_slice(), y.as_slice(), "batched path must not drift");
         }
     }
 

@@ -56,8 +56,9 @@ pub struct ServeConfig {
     /// query is never billed to the client's ledger. `None` disables the
     /// default deadline.
     pub default_deadline: Option<Duration>,
-    /// Threads the tensor kernels (GEMM / im2col) may use *inside* one
-    /// forward pass, applied process-wide at
+    /// Threads the GEMM may use *inside* one forward pass (the only
+    /// kernel that uses the intra-op pool; im2col and the rest of the
+    /// forward run serially), applied process-wide at
     /// [`crate::RetrievalService::start`] via
     /// [`duo_tensor::set_intra_op_threads`]. `0` (the default) resolves
     /// to the machine's available parallelism, capped at

@@ -6,9 +6,8 @@
 //! lowering here (as pure tensor-to-tensor functions) lets the property
 //! tests validate it against a naive direct convolution.
 
-use std::sync::Arc;
+use std::ops::Range;
 
-use crate::par::{intra_op_pool, row_ranges, ThreadPool};
 use crate::{Tensor, TensorError};
 
 /// Geometry of a 2-D convolution over `[C, H, W]` inputs.
@@ -237,11 +236,6 @@ pub fn im2col3d(input: &Tensor, spec: &Conv3dSpec) -> Result<Tensor, TensorError
     Ok(out)
 }
 
-/// `rows · cols` volume below which [`im2col3d_into`] stays serial; the
-/// lowering is pure data movement, so it needs a bigger matrix than GEMM
-/// does before the per-worker input copy pays for itself.
-const IM2COL_PAR_MIN_VOLUME: usize = 1 << 16;
-
 /// Validated geometry of one im2col3d lowering.
 #[derive(Clone, Copy)]
 struct ColGeom {
@@ -251,7 +245,6 @@ struct ColGeom {
     ot: usize,
     oh: usize,
     ow: usize,
-    rows: usize,
     cols: usize,
 }
 
@@ -281,83 +274,55 @@ fn im2col3d_geom(
             op: "im2col3d_into(out)",
         });
     }
-    Ok(ColGeom { t, h, w, ot, oh, ow, rows, cols })
+    Ok(ColGeom { t, h, w, ot, oh, ow, cols })
 }
 
-/// Fills `stripe` (a `[stripe_rows × cols]` block starting at output row
-/// `row_start`) of the im2col matrix. The lowering is pure data movement
-/// — every element is an independent copy-or-zero — so running disjoint
-/// row ranges on different workers is trivially bit-identical to serial.
-fn im2col3d_rows(
-    iv: &[f32],
-    spec: &Conv3dSpec,
-    g: ColGeom,
-    row_start: usize,
-    stripe: &mut [f32],
-) {
-    let cols = g.cols;
-    for (local, out_row) in stripe.chunks_exact_mut(cols).enumerate() {
+/// The output positions `o ∈ 0..n_out` whose input coordinate
+/// `o·s + k − p` lands inside `0..n_in`. Validity is monotone in `o`, so
+/// the set is one half-open range: everything before it reads the low
+/// padding, everything after it the high padding.
+fn valid_range(n_out: usize, n_in: usize, k: usize, s: usize, p: usize) -> Range<usize> {
+    // o·s + k ≥ p  ⇔  o ≥ ⌈(p − k) / s⌉
+    let lo = if p > k { (p - k).div_ceil(s) } else { 0 };
+    // o·s + k − p ≤ n_in − 1  ⇔  o ≤ ⌊(n_in + p − k − 1) / s⌋
+    let hi = if n_in + p > k { ((n_in + p - k - 1) / s + 1).min(n_out) } else { 0 };
+    lo.min(hi)..hi
+}
+
+/// One row of the column matrix: kernel tap `(ch, kz, ky, kx)`, the output
+/// ranges whose reads land inside the input, and `x0`, the input column
+/// the first valid `ox` reads (0 when no `ox` is valid).
+struct Tap {
+    ch: usize,
+    kz: usize,
+    ky: usize,
+    z: Range<usize>,
+    y: Range<usize>,
+    x: Range<usize>,
+    x0: usize,
+}
+
+impl Tap {
+    fn of_row(spec: &Conv3dSpec, g: ColGeom, row: usize) -> Tap {
         // Invert `row = ((ch·kt + kz)·kh + ky)·kw + kx`.
-        let row = row_start + local;
         let kx = row % spec.kw;
         let rest = row / spec.kw;
         let ky = rest % spec.kh;
         let rest = rest / spec.kh;
         let kz = rest % spec.kt;
         let ch = rest / spec.kt;
-        for oz in 0..g.ot {
-            let z = (oz * spec.st + kz) as isize - spec.pt as isize;
-            let z_ok = z >= 0 && (z as usize) < g.t;
-            for oy in 0..g.oh {
-                let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
-                let y_ok = y >= 0 && (y as usize) < g.h;
-                for ox in 0..g.ow {
-                    let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
-                    let col = (oz * g.oh + oy) * g.ow + ox;
-                    out_row[col] = if z_ok && y_ok && x >= 0 && (x as usize) < g.w {
-                        iv[((ch * g.t + z as usize) * g.h + y as usize) * g.w + x as usize]
-                    } else {
-                        0.0
-                    };
-                }
-            }
+        let x = valid_range(g.ow, g.w, kx, spec.sw, spec.pw);
+        let x0 = if x.is_empty() { 0 } else { x.start * spec.sw + kx - spec.pw };
+        Tap {
+            ch,
+            kz,
+            ky,
+            z: valid_range(g.ot, g.t, kz, spec.st, spec.pt),
+            y: valid_range(g.oh, g.h, ky, spec.sh, spec.ph),
+            x,
+            x0,
         }
     }
-}
-
-fn im2col3d_parallel(
-    iv: &[f32],
-    spec: &Conv3dSpec,
-    g: ColGeom,
-    ov: &mut [f32],
-    pool: &ThreadPool,
-) -> Result<(), TensorError> {
-    let ranges = row_ranges(g.rows, pool.threads());
-    if ranges.len() <= 1 {
-        im2col3d_rows(iv, spec, g, 0, ov);
-        return Ok(());
-    }
-    let input_shared: Arc<Vec<f32>> = Arc::new(iv.to_vec());
-    let spec = *spec;
-    let jobs: Vec<_> = ranges
-        .iter()
-        .map(|r| {
-            let input_shared = Arc::clone(&input_shared);
-            let (start, len) = (r.start, r.len());
-            move || {
-                let mut stripe = vec![0.0f32; len * g.cols];
-                im2col3d_rows(&input_shared, &spec, g, start, &mut stripe);
-                stripe
-            }
-        })
-        .collect();
-    let stripes = pool
-        .run(jobs)
-        .map_err(|e| TensorError::Parallel { op: "im2col3d_into", message: e.to_string() })?;
-    for (r, stripe) in ranges.iter().zip(stripes) {
-        ov[r.start * g.cols..r.end * g.cols].copy_from_slice(&stripe);
-    }
-    Ok(())
 }
 
 /// [`im2col3d`] writing into a preallocated `[rows, cols]` output — every
@@ -367,9 +332,10 @@ fn im2col3d_parallel(
 /// the column matrix is the largest allocation of a convolution forward,
 /// and sharing one across a batch amortizes its cost to one item.
 ///
-/// Matrices large enough to amortize the dispatch split their rows
-/// across the intra-op pool ([`crate::set_intra_op_threads`]); the output
-/// is bit-identical to the serial lowering at any thread count.
+/// The lowering is serial pure data movement. Each kernel row knows its
+/// valid `oz`/`oy`/`ox` ranges up front, so padding becomes zero-filled
+/// runs and, at unit width stride, every in-bounds output line is one
+/// contiguous copy of an input row slice — no per-element bounds test.
 ///
 /// # Errors
 ///
@@ -380,32 +346,37 @@ pub fn im2col3d_into(
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     let g = im2col3d_geom(input, spec, out)?;
-    if g.rows.saturating_mul(g.cols) >= IM2COL_PAR_MIN_VOLUME {
-        if let Some(pool) = intra_op_pool() {
-            return im2col3d_parallel(input.as_slice(), spec, g, out.as_mut_slice(), &pool);
+    let iv = input.as_slice();
+    for (row, out_row) in out.as_mut_slice().chunks_exact_mut(g.cols).enumerate() {
+        let tap = Tap::of_row(spec, g, row);
+        for (oz, out_plane) in out_row.chunks_exact_mut(g.oh * g.ow).enumerate() {
+            if !tap.z.contains(&oz) {
+                out_plane.fill(0.0);
+                continue;
+            }
+            let z = oz * spec.st + tap.kz - spec.pt;
+            for (oy, line) in out_plane.chunks_exact_mut(g.ow).enumerate() {
+                if !tap.y.contains(&oy) {
+                    line.fill(0.0);
+                    continue;
+                }
+                let y = oy * spec.sh + tap.ky - spec.ph;
+                let src = &iv[((tap.ch * g.t + z) * g.h + y) * g.w..][..g.w];
+                let (head, rest) = line.split_at_mut(tap.x.start);
+                let (body, tail) = rest.split_at_mut(tap.x.len());
+                head.fill(0.0);
+                tail.fill(0.0);
+                if spec.sw == 1 {
+                    body.copy_from_slice(&src[tap.x0..tap.x0 + body.len()]);
+                } else {
+                    for (d, &s) in body.iter_mut().zip(src[tap.x0..].iter().step_by(spec.sw)) {
+                        *d = s;
+                    }
+                }
+            }
         }
     }
-    im2col3d_rows(input.as_slice(), spec, g, 0, out.as_mut_slice());
     Ok(())
-}
-
-/// [`im2col3d_into`] on an explicit [`ThreadPool`], always taking the
-/// row-partitioned parallel path (no size threshold). Property tests use
-/// this to pin the thread count per case without mutating the global
-/// intra-op setting.
-///
-/// # Errors
-///
-/// Same as [`im2col3d_into`]; additionally [`TensorError::Parallel`] if a
-/// job panicked.
-pub fn im2col3d_into_with(
-    input: &Tensor,
-    spec: &Conv3dSpec,
-    out: &mut Tensor,
-    pool: &ThreadPool,
-) -> Result<(), TensorError> {
-    let g = im2col3d_geom(input, spec, out)?;
-    im2col3d_parallel(input.as_slice(), spec, g, out.as_mut_slice(), pool)
 }
 
 /// Folds a `[C·kt·kh·kw, out_t·out_h·out_w]` gradient matrix back onto a
@@ -432,33 +403,30 @@ pub fn col2im3d(
             op: "col2im3d",
         });
     }
+    let g = ColGeom { t, h, w, ot, oh, ow, cols: ncols };
     let mut out = Tensor::zeros(&[c, t, h, w]);
-    let cv = cols.as_slice();
     let ov = out.as_mut_slice();
-    for ch in 0..c {
-        for kz in 0..spec.kt {
-            for ky in 0..spec.kh {
-                for kx in 0..spec.kw {
-                    let row = ((ch * spec.kt + kz) * spec.kh + ky) * spec.kw + kx;
-                    for oz in 0..ot {
-                        let z = (oz * spec.st + kz) as isize - spec.pt as isize;
-                        if z < 0 || z as usize >= t {
-                            continue;
-                        }
-                        for oy in 0..oh {
-                            let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
-                            if y < 0 || y as usize >= h {
-                                continue;
-                            }
-                            for ox in 0..ow {
-                                let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
-                                if x < 0 || x as usize >= w {
-                                    continue;
-                                }
-                                ov[((ch * t + z as usize) * h + y as usize) * w + x as usize] +=
-                                    cv[row * ncols + (oz * oh + oy) * ow + ox];
-                            }
-                        }
+    // Scatter-add in row, then `oz`, `oy`, `ox` order. Padding taps are
+    // skipped through each row's valid ranges rather than tested per
+    // element, so every input-gradient element receives the same additions
+    // in the same order as the per-element formula. Distinct `ox` of one
+    // line hit distinct `x`, so a line's adds are independent and the
+    // unit-stride case is one elementwise pass over contiguous slices.
+    for (row, grad_row) in cols.as_slice().chunks_exact(ncols).enumerate() {
+        let tap = Tap::of_row(spec, g, row);
+        for oz in tap.z.clone() {
+            let z = oz * spec.st + tap.kz - spec.pt;
+            for oy in tap.y.clone() {
+                let y = oy * spec.sh + tap.ky - spec.ph;
+                let src = &grad_row[(oz * oh + oy) * ow..][tap.x.clone()];
+                let dst = &mut ov[((tap.ch * t + z) * h + y) * w..][tap.x0..];
+                if spec.sw == 1 {
+                    for (d, &s) in dst[..src.len()].iter_mut().zip(src) {
+                        *d += s;
+                    }
+                } else {
+                    for (d, &s) in dst.iter_mut().step_by(spec.sw).zip(src) {
+                        *d += s;
                     }
                 }
             }

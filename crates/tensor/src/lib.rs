@@ -37,10 +37,7 @@ mod rng;
 mod shape;
 mod tensor;
 
-pub use conv::{
-    col2im2d, col2im3d, im2col2d, im2col3d, im2col3d_into, im2col3d_into_with, Conv2dSpec,
-    Conv3dSpec,
-};
+pub use conv::{col2im2d, col2im3d, im2col2d, im2col3d, im2col3d_into, Conv2dSpec, Conv3dSpec};
 pub use error::TensorError;
 pub use json::{Json, ToJson};
 pub use matmul::{

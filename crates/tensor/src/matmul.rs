@@ -168,7 +168,9 @@ mod workspace {
         if buf.capacity() == 0 || buf.capacity() > MAX_FLOATS {
             return;
         }
-        let mut bin = BIN.lock().expect("workspace bin lock");
+        // `PackedA`'s `Drop` calls this, so it must not panic: a poisoned
+        // bin only costs the cache this buffer.
+        let Ok(mut bin) = BIN.lock() else { return };
         if bin.len() < MAX_ENTRIES {
             bin.push(buf);
         }
@@ -249,13 +251,16 @@ impl PackedA {
     pub fn k(&self) -> usize {
         self.k
     }
+}
 
-    /// Returns the packing buffer to the workspace bin if this is the
-    /// last reference (internal: only for packings this module created
-    /// and never handed out).
-    fn reclaim(self) {
-        if let Ok(data) = Arc::try_unwrap(self.data) {
-            workspace::give(data);
+impl Drop for PackedA {
+    /// Returns the packing buffer to the workspace bin once the last
+    /// reference goes. A packing draws its buffer from that bin, possibly
+    /// one much larger than it needs; freeing it instead would make the
+    /// next B panel of that size allocate and page-fault afresh.
+    fn drop(&mut self) {
+        if let Some(data) = Arc::get_mut(&mut self.data) {
+            workspace::give(std::mem::take(data));
         }
     }
 }
@@ -385,10 +390,7 @@ pub fn gemm_bias_with(
     let (m, k, n) = validate(a, b, out)?;
     validate_bias(bias, n)?;
     let pa = PackedA::pack_slice(a.as_slice(), m, k);
-    let result =
-        gemm_parallel_packed(&pa, b.as_slice(), Some(bias.as_slice()), out.as_mut_slice(), n, pool);
-    pa.reclaim();
-    result
+    gemm_parallel_packed(&pa, b.as_slice(), Some(bias.as_slice()), out.as_mut_slice(), n, pool)
 }
 
 /// [`gemm`] against a pre-packed left operand, skipping the per-call A
@@ -474,9 +476,7 @@ pub fn matmul_into_with(
 ) -> Result<(), TensorError> {
     let (m, k, n) = validate(a, b, out)?;
     let pa = PackedA::pack_slice(a.as_slice(), m, k);
-    let result = gemm_parallel_packed(&pa, b.as_slice(), None, out.as_mut_slice(), n, pool);
-    pa.reclaim();
-    result
+    gemm_parallel_packed(&pa, b.as_slice(), None, out.as_mut_slice(), n, pool)
 }
 
 /// The pre-blocking naive i-k-j kernel, kept as the benchmark baseline
@@ -543,16 +543,13 @@ fn gemm_tiered(
     if volume >= PAR_MIN_VOLUME {
         if let Some(pool) = intra_op_pool() {
             let pa = PackedA::pack_slice(av, m, k);
-            let result = gemm_parallel_packed(&pa, bv, bias, ov, n, &pool);
-            pa.reclaim();
-            return result;
+            return gemm_parallel_packed(&pa, bv, bias, ov, n, &pool);
         }
     }
     if volume >= FAST_MIN_VOLUME {
         let pa = PackedA::pack_slice(av, m, k);
         let pb = pack_b_slice(bv, k, n);
         gemm_packed_stripe(&pa.data, m, k, &pb.data, n, bias, ov);
-        pa.reclaim();
         workspace::give(pb.data);
         return Ok(());
     }

@@ -1,8 +1,8 @@
 //! Deterministic fixed-size thread pool for intra-op kernel parallelism.
 //!
-//! The parallel kernels in this crate ([`crate::matmul_into`],
-//! [`crate::im2col3d_into`] and the conv3d lowering built on them) split
-//! their *output rows* across workers. Each worker owns a disjoint,
+//! The parallel GEMM in this crate ([`crate::matmul_into`] and the fused
+//! and packed entry points beside it) splits its *output rows* across
+//! workers. Each worker owns a disjoint,
 //! contiguous row range and runs exactly the same per-row code as the
 //! serial kernel, so the per-element `f32` accumulation order — and
 //! therefore every output bit — is independent of the thread count. The
@@ -318,10 +318,12 @@ fn resolve(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()).min(MAX_AUTO_THREADS)
 }
 
-/// Sets the process-wide intra-op thread count used by the parallel
-/// kernels ([`crate::matmul_into`], [`crate::im2col3d_into`] and the
-/// convolutions lowered onto them). `0` restores the automatic setting
-/// (`available_parallelism`, capped at [`MAX_AUTO_THREADS`]).
+/// Sets the process-wide intra-op thread count used by the GEMM
+/// ([`crate::matmul_into`], the `gemm*` entry points, and so the GEMM half
+/// of every convolution). Only the GEMM uses the pool: the im2col/col2im
+/// lowering and everything else run serially on the calling thread. `0`
+/// restores the automatic setting (`available_parallelism`, capped at
+/// [`MAX_AUTO_THREADS`]).
 ///
 /// Results are **bit-identical at every setting** — this knob trades
 /// wall-clock time only, never numerics — so it is safe to tune freely

@@ -73,6 +73,18 @@ cmp BENCH_defense.json BENCH_defense.json.replay \
   || { echo "red_vs_blue: same-seed reruns diverged" >&2; exit 1; }
 rm -f BENCH_defense.json.replay
 
+# End-to-end benchmark: its own tests (workload specs, output checks,
+# shape tables), then one short served-query run. The run exits 1 on a
+# failed output check; its last stdout line must also report
+# `"correct": true`.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+e2e_last=$(cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
+  --workload serve_mixed --seed 3 --seconds 4 --trace 0 | tail -n 1)
+case "$e2e_last" in
+  *'"correct": true'*) ;;
+  *) echo "e2ebench serve_mixed smoke: output check failed: $e2e_last" >&2; exit 1 ;;
+esac
+
 # Artifact + threshold gate: every emitted file (gemm, serve, campaign,
 # mutate, index, defense) must parse and carry every required field (name,
 # samples, min/median/p95/mean/trimmed_mean/max), and the smoke-scale

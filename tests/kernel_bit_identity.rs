@@ -1,14 +1,13 @@
-//! Bit-identity property suite for the parallel compute core.
+//! Bit-identity property suite for the compute core.
 //!
-//! The PR 5 determinism contract: the threaded, cache-blocked kernels
-//! (`matmul_into_with`, `im2col3d_into_with`, and conv3d as their
-//! composition) produce outputs equal to the serial kernels at
-//! `f32::to_bits` granularity for every shape and every thread count —
-//! workers own disjoint output rows and run the identical per-element
-//! float program, so partitioning can never move a bit. Thread counts
-//! {1, 2, 3, 8} cover the degenerate pool, non-divisible row splits, and
-//! oversubscription; the generated shapes land on every `MR`/`NR` tile
-//! remainder class.
+//! The determinism contract: the threaded, cache-blocked GEMM
+//! (`matmul_into_with`, and conv3d as im2col followed by it) produces
+//! outputs equal to the serial kernel at `f32::to_bits` granularity for
+//! every shape and every thread count — workers own disjoint output rows
+//! and run the identical per-element float program, so partitioning can
+//! never move a bit. Thread counts {1, 2, 3, 8} cover the degenerate
+//! pool, non-divisible row splits, and oversubscription; the generated
+//! shapes land on every `MR`/`NR` tile remainder class.
 //!
 //! The wide-kernel rework extends the wall: the fused-bias entry points
 //! (`gemm_bias`, `gemm_bias_with`) must equal a GEMM followed by a bias
@@ -16,12 +15,18 @@
 //! fresh, and every 8-row block remainder class must survive the packed
 //! kernel's full-depth store schedule.
 //!
+//! The convolution lowering is serial and range-driven (padding runs are
+//! zero-filled, unit-stride lines are slice copies), so its wall is the
+//! per-element formula itself: `im2col3d_into` must equal it bit for bit
+//! in every position of a NaN-prefilled buffer, and `col2im3d` must equal
+//! a naive per-element scatter-add in the same order.
+//!
 //! Failing case seeds persist to `tests/properties.regressions` and
 //! replay before fresh generation (asserted at the bottom of this file).
 
 use duo_check::{check, prop_assert_eq, Config, Strategy};
 use duo_tensor::{
-    gemm_bias, gemm_bias_with, gemm_packed, im2col3d_into_with, matmul_into_serial,
+    col2im3d, gemm_bias, gemm_bias_with, gemm_packed, im2col3d_into, matmul_into_serial,
     matmul_into_with, Conv3dSpec, PackedA, Rng64, Tensor, ThreadPool,
 };
 use std::ops::Range;
@@ -128,35 +133,6 @@ check! {
         }
     }
 
-    fn threaded_im2col_is_bitwise_serial(
-        chans in 1usize..4,
-        thw in (3usize..8, 3usize..8, 3usize..8),
-        ksp in (1usize..4, 1usize..4, 0usize..3),
-        s in seed(),
-    ) {
-        let (t, h, w) = thw;
-        let (kern, stride, pad) = ksp;
-        let spec = Conv3dSpec::cubic(chans, kern, (stride, stride, stride), pad);
-        let mut rng = Rng64::new(s);
-        let input = Tensor::randn(&[chans, t, h, w], 1.0, rng.as_rng());
-        let (ot, oh, ow) = spec.output_thw(t, h, w).unwrap();
-        let rows = chans * kern * kern * kern;
-        let cols = ot * oh * ow;
-        let serial_pool = ThreadPool::new(1);
-        let mut serial = Tensor::zeros(&[rows, cols]);
-        im2col3d_into_with(&input, &spec, &mut serial, &serial_pool).unwrap();
-        for &threads in &THREADS[1..] {
-            let pool = ThreadPool::new(threads);
-            let mut par = Tensor::full(&[rows, cols], f32::NAN);
-            im2col3d_into_with(&input, &spec, &mut par, &pool).unwrap();
-            prop_assert_eq!(
-                bits(&serial),
-                bits(&par),
-                "im2col [{chans},{t},{h},{w}] k{kern} s{stride} p{pad} drifted at {threads} threads"
-            );
-        }
-    }
-
     fn threaded_conv3d_is_bitwise_serial(
         oc in 1usize..6,
         thw in (3usize..7, 3usize..7, 3usize..7),
@@ -173,19 +149,16 @@ check! {
         let cols = ot * oh * ow;
         let weight = Tensor::randn(&[oc, rows], 1.0, rng.as_rng());
 
-        // Serial conv3d: serial lowering, serial GEMM.
-        let serial_pool = ThreadPool::new(1);
-        let mut cols_serial = Tensor::zeros(&[rows, cols]);
-        im2col3d_into_with(&input, &spec, &mut cols_serial, &serial_pool).unwrap();
+        // One serial lowering, then the serial GEMM against the threaded one.
+        let mut cols_mat = Tensor::full(&[rows, cols], f32::NAN);
+        im2col3d_into(&input, &spec, &mut cols_mat).unwrap();
         let mut out_serial = Tensor::zeros(&[oc, cols]);
-        matmul_into_serial(&weight, &cols_serial, &mut out_serial).unwrap();
+        matmul_into_serial(&weight, &cols_mat, &mut out_serial).unwrap();
 
         for &threads in &THREADS {
             let pool = ThreadPool::new(threads);
-            let mut cols_par = Tensor::zeros(&[rows, cols]);
-            im2col3d_into_with(&input, &spec, &mut cols_par, &pool).unwrap();
             let mut out_par = Tensor::zeros(&[oc, cols]);
-            matmul_into_with(&weight, &cols_par, &mut out_par, &pool).unwrap();
+            matmul_into_with(&weight, &cols_mat, &mut out_par, &pool).unwrap();
             prop_assert_eq!(
                 bits(&out_serial),
                 bits(&out_par),
@@ -193,6 +166,143 @@ check! {
             );
         }
     }
+}
+
+check! {
+    // Lowering cases are tiny, so sweep more of them: per-axis strides
+    // 1–3, padding 0–2 (often ≥ the kernel) and 1-wide inputs all recur.
+    #![config(config().with_cases(96))]
+
+    fn im2col_matches_reference_formula(
+        cs in (1usize..3, seed()),
+        thw in (1usize..6, 1usize..6, 1usize..6),
+        kern in (1usize..4, 1usize..4, 1usize..4),
+        stride in (1usize..4, 1usize..4, 1usize..4),
+        pad in (0usize..3, 0usize..3, 0usize..3),
+    ) {
+        let (chans, s) = cs;
+        let (t, h, w) = thw;
+        let spec = conv_case(chans, thw, kern, stride, pad);
+        let input = Tensor::randn(&[chans, t, h, w], 1.0, Rng64::new(s).as_rng());
+        let expected = im2col_reference(&input, &spec);
+        let mut cols = Tensor::full(expected.dims(), f32::NAN);
+        im2col3d_into(&input, &spec, &mut cols).unwrap();
+        prop_assert_eq!(bits(&expected), bits(&cols), "im2col {spec:?} on [{chans},{t},{h},{w}]");
+    }
+
+    fn col2im_matches_naive_scatter(
+        cs in (1usize..3, seed()),
+        thw in (1usize..6, 1usize..6, 1usize..6),
+        kern in (1usize..4, 1usize..4, 1usize..4),
+        stride in (1usize..4, 1usize..4, 1usize..4),
+        pad in (0usize..3, 0usize..3, 0usize..3),
+    ) {
+        let (chans, s) = cs;
+        let (t, h, w) = thw;
+        let spec = conv_case(chans, thw, kern, stride, pad);
+        let grad = Tensor::randn(&col_dims(&spec, thw), 1.0, Rng64::new(s).as_rng());
+        let expected = col2im_reference(&grad, &spec, t, h, w);
+        let folded = col2im3d(&grad, &spec, t, h, w).unwrap();
+        prop_assert_eq!(bits(&expected), bits(&folded), "col2im {spec:?} onto [{chans},{t},{h},{w}]");
+    }
+}
+
+/// Per-axis conv geometry from generated `(t, h, w)`, kernel, stride and
+/// padding, with each kernel extent clamped to its padded input so every
+/// case is a valid lowering (padding may still exceed the kernel).
+fn conv_case(
+    chans: usize,
+    (t, h, w): (usize, usize, usize),
+    (kt, kh, kw): (usize, usize, usize),
+    (st, sh, sw): (usize, usize, usize),
+    (pt, ph, pw): (usize, usize, usize),
+) -> Conv3dSpec {
+    Conv3dSpec {
+        in_channels: chans,
+        kt: kt.min(t + 2 * pt),
+        kh: kh.min(h + 2 * ph),
+        kw: kw.min(w + 2 * pw),
+        st,
+        sh,
+        sw,
+        pt,
+        ph,
+        pw,
+    }
+}
+
+/// `[rows, cols]` of the column matrix lowering a `(t, h, w)` input.
+fn col_dims(spec: &Conv3dSpec, (t, h, w): (usize, usize, usize)) -> [usize; 2] {
+    let (ot, oh, ow) = spec.output_thw(t, h, w).unwrap();
+    [spec.in_channels * spec.kt * spec.kh * spec.kw, ot * oh * ow]
+}
+
+/// Input index `o·s + k − p` along one axis, or `None` in the padding.
+fn tap(o: usize, k: usize, s: usize, p: usize, n: usize) -> Option<usize> {
+    (o * s + k).checked_sub(p).filter(|&i| i < n)
+}
+
+/// Calls `visit(row, col, input_index)` for every column-matrix position
+/// in row-major order, with `None` where the tap reads padding: the
+/// per-element definition of the 3-D lowering.
+fn for_each_tap(
+    spec: &Conv3dSpec,
+    (t, h, w): (usize, usize, usize),
+    mut visit: impl FnMut(usize, usize, Option<usize>),
+) {
+    let (ot, oh, ow) = spec.output_thw(t, h, w).unwrap();
+    let mut row = 0;
+    for ch in 0..spec.in_channels {
+        for kz in 0..spec.kt {
+            for ky in 0..spec.kh {
+                for kx in 0..spec.kw {
+                    let mut col = 0;
+                    for oz in 0..ot {
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let src = match (
+                                    tap(oz, kz, spec.st, spec.pt, t),
+                                    tap(oy, ky, spec.sh, spec.ph, h),
+                                    tap(ox, kx, spec.sw, spec.pw, w),
+                                ) {
+                                    (Some(z), Some(y), Some(x)) => {
+                                        Some(((ch * t + z) * h + y) * w + x)
+                                    }
+                                    _ => None,
+                                };
+                                visit(row, col, src);
+                                col += 1;
+                            }
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+}
+
+fn im2col_reference(input: &Tensor, spec: &Conv3dSpec) -> Tensor {
+    let thw = (input.dims()[1], input.dims()[2], input.dims()[3]);
+    let dims = col_dims(spec, thw);
+    let mut out = Tensor::zeros(&dims);
+    let (iv, ov) = (input.as_slice(), out.as_mut_slice());
+    for_each_tap(spec, thw, |row, col, src| {
+        ov[row * dims[1] + col] = src.map_or(0.0, |i| iv[i]);
+    });
+    out
+}
+
+fn col2im_reference(grad: &Tensor, spec: &Conv3dSpec, t: usize, h: usize, w: usize) -> Tensor {
+    let cols = grad.dims()[1];
+    let mut out = Tensor::zeros(&[spec.in_channels, t, h, w]);
+    let (gv, ov) = (grad.as_slice(), out.as_mut_slice());
+    for_each_tap(spec, (t, h, w), |row, col, src| {
+        if let Some(i) = src {
+            ov[i] += gv[row * cols + col];
+        }
+    });
+    out
 }
 
 /// Fixed shapes that straddle the blocking constants (`KC = 256`,
@@ -284,7 +394,7 @@ fn committed_regression_seeds_replay_before_fresh_generation() {
         !committed.is_empty(),
         "tests/properties.regressions must carry the PR 5 kernel seeds"
     );
-    for required in ["threaded_im2col_is_bitwise_serial", "fused_bias_gemm_is_bitwise_unfused"] {
+    for required in ["im2col_matches_reference_formula", "fused_bias_gemm_is_bitwise_unfused"] {
         assert!(
             duo_check::parse_regressions(&text).iter().any(|(name, _)| name == required),
             "tests/properties.regressions must carry a seed for {required}"
