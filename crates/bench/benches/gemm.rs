@@ -1,54 +1,46 @@
-//! GEMM kernel benchmarks: the blocked/threaded kernels against the seed
-//! naive kernel (`matmul_into_reference`).
+//! GEMM kernel benchmarks: the packed serial kernel against the plain-loop
+//! oracle (`matmul_into_reference`).
 //!
 //! For each shape the bench times:
 //!
-//! * `reference` — the seed's streaming i·k·j kernel, the baseline every
-//!   speedup in `BENCH_gemm.json` and the README table is quoted against;
-//! * `serial_blocked` — the cache-blocked micro-kernel on the calling
-//!   thread (`matmul_into_serial`);
-//! * `threadsN` — the packed-A 8×16 kernel dispatched over an explicit
-//!   `ThreadPool` of N workers via the job rings (`matmul_into_with`,
-//!   caller computes the first stripe inline), N ∈ {1, 2, 4, 8};
-//! * `fused_bias` — `gemm_bias`, the tiered entry point that folds the
-//!   bias add into the micro-kernel's final store instead of a second
-//!   pass over the output.
+//! * `reference` — the i·k·j oracle loop, the baseline every speedup in
+//!   `BENCH_gemm.json` and the README table is quoted against;
+//! * `packed` — `gemm`: A packed into 8-row blocks (the final partial
+//!   block zero-padded), B packed into 32-column strips, and the
+//!   full-depth 8×32 micro-kernel, the masked tail copying out only
+//!   its live rows;
+//! * `fused_bias` — `gemm_bias`, the same kernel folding the bias add
+//!   into its final store instead of a second pass over the output.
 //!
-//! Before timing, **every** configuration's output — reference, serial,
-//! each thread count, and the fused-bias path against a serial
-//! gemm-then-bias-sweep — is asserted bit-identical, so the determinism
-//! contract is enforced in the bench itself, not just the test suite.
+//! Before timing, every variant's output is asserted bit-identical to the
+//! oracle (the fused-bias path against the oracle plus a bias sweep), so
+//! the determinism contract is enforced in the bench itself, not just the
+//! test suite.
 //!
-//! Noise control: 3 warmup iterations per entry (the first calls fault in
-//! the packing workspaces and let the allocator settle) and enough
-//! samples that the recorded `trimmed_mean_s` (drop the fastest and
-//! slowest fifth, mean the middle) is stable against the bimodal
-//! allocator behaviour the serial kernel shows on large shapes. That
-//! trimmed mean is what `bench_check` compares against the committed
-//! rules in `BENCH_thresholds.txt`.
+//! Noise control: the three variants of a shape run as one interleaved
+//! group (`Runner::bench_interleaved`: reference, packed, fused, then
+//! again), so drift on a shared host lands on all of them alike; 3
+//! warmup iterations per entry (the first calls fault in the packing
+//! workspaces and let the allocator settle); and enough samples that the
+//! recorded `trimmed_mean_s` (drop the fastest and slowest fifth, mean
+//! the middle) is stable. That trimmed mean is what `bench_check`
+//! compares against the committed rules in `BENCH_thresholds.txt`.
 //!
 //! Results land in `BENCH_gemm.json` at the repo root; `DUO_SCALE=smoke`
-//! shrinks shapes and samples for the verify gate. This host has a
-//! single core, so the `threadsN` rows measure kernel quality plus
-//! dispatch overhead, not parallel scaling — they beat `serial_blocked`
-//! because the packed kernel is wider and reuses the packed panels, and
-//! the ring dispatch stays cheap enough not to give that margin back.
+//! shrinks shapes and samples for the verify gate. Every variant runs on
+//! the calling thread, so the host's core count does not enter the
+//! ratios.
 
 use duo_bench::Runner;
-use duo_tensor::{
-    gemm_bias, matmul_into_reference, matmul_into_serial, matmul_into_with, Rng64, Tensor,
-    ThreadPool,
-};
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+use duo_tensor::{gemm, gemm_bias, matmul_into_reference, Rng64, Tensor};
 
 fn smoke() -> bool {
     std::env::var("DUO_SCALE").as_deref() == Ok("smoke")
 }
 
 /// Benched shapes `(m, k, n)`. The 256³ GEMM is the headline size; the
-/// skinny 128×1024×512 shape is where panel packing pays most (k spans
-/// four KC panels); 512³ stresses the full blocking hierarchy.
+/// skinny 128×1024×512 shape stresses deep B strips (k = 1024); 512³
+/// stresses the cache hierarchy with the largest operands.
 fn sizes() -> Vec<(usize, usize, usize)> {
     if smoke() {
         vec![(48, 64, 48), (96, 160, 80)]
@@ -74,54 +66,36 @@ fn main() {
         let b = Tensor::randn(&[k, n], 1.0, rng.as_rng());
         let bias = Tensor::randn(&[n], 1.0, rng.as_rng());
 
-        let mut serial = Tensor::zeros(&[m, n]);
-        matmul_into_serial(&a, &b, &mut serial).unwrap();
-        let want = bits(&serial);
+        let mut oracle = Tensor::full(&[m, n], f32::NAN);
+        matmul_into_reference(&a, &b, &mut oracle).unwrap();
+        let mut packed = Tensor::full(&[m, n], f32::NAN);
+        gemm(&a, &b, &mut packed).unwrap();
+        assert_eq!(bits(&oracle), bits(&packed), "gemm/{tag} packed drifted from the oracle");
 
-        let mut out = Tensor::full(&[m, n], f32::NAN);
-        matmul_into_reference(&a, &b, &mut out).unwrap();
-        assert_eq!(want, bits(&out), "gemm/{tag} reference drifted from serial");
-        runner.bench_function(&format!("gemm/{tag}/reference"), |bench| {
-            bench.iter(|| matmul_into_reference(&a, &b, &mut out).unwrap())
-        });
-
-        out.as_mut_slice().fill(f32::NAN);
-        matmul_into_serial(&a, &b, &mut out).unwrap();
-        assert_eq!(want, bits(&out), "gemm/{tag} serial rerun drifted");
-        runner.bench_function(&format!("gemm/{tag}/serial_blocked"), |bench| {
-            bench.iter(|| matmul_into_serial(&a, &b, &mut out).unwrap())
-        });
-
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            out.as_mut_slice().fill(f32::NAN);
-            matmul_into_with(&a, &b, &mut out, &pool).unwrap();
-            assert_eq!(want, bits(&out), "gemm/{tag} drifted at {threads} threads");
-            runner.bench_function(&format!("gemm/{tag}/threads{threads}"), |bench| {
-                bench.iter(|| matmul_into_with(&a, &b, &mut out, &pool).unwrap())
-            });
-        }
-
-        // Fused bias: identical bits to the unfused serial result with a
-        // second bias pass on top.
-        let want_bias: Vec<u32> = {
-            let mut unfused = serial.clone();
-            for row in unfused.as_mut_slice().chunks_exact_mut(n) {
-                for (o, bv) in row.iter_mut().zip(bias.as_slice()) {
-                    *o += bv;
-                }
+        // Fused bias: identical bits to the oracle with a second bias
+        // pass on top.
+        let mut fused = Tensor::full(&[m, n], f32::NAN);
+        gemm_bias(&a, &b, &bias, &mut fused).unwrap();
+        for row in oracle.as_mut_slice().chunks_exact_mut(n) {
+            for (o, bv) in row.iter_mut().zip(bias.as_slice()) {
+                *o += bv;
             }
-            bits(&unfused)
-        };
-        out.as_mut_slice().fill(f32::NAN);
-        gemm_bias(&a, &b, &bias, &mut out).unwrap();
-        assert_eq!(want_bias, bits(&out), "gemm/{tag} fused bias drifted from gemm+sweep");
-        runner.bench_function(&format!("gemm/{tag}/fused_bias"), |bench| {
-            bench.iter(|| gemm_bias(&a, &b, &bias, &mut out).unwrap())
-        });
+        }
+        assert_eq!(bits(&oracle), bits(&fused), "gemm/{tag} fused bias drifted from oracle+sweep");
+
+        // Interleaved sample by sample: the threshold rules compare these
+        // entries with each other, so host drift must land on all three.
+        let mut run_reference = || matmul_into_reference(&a, &b, &mut oracle).unwrap();
+        let mut run_packed = || gemm(&a, &b, &mut packed).unwrap();
+        let mut run_fused = || gemm_bias(&a, &b, &bias, &mut fused).unwrap();
+        runner.bench_interleaved(&mut [
+            (format!("gemm/{tag}/reference").as_str(), &mut run_reference as &mut dyn FnMut()),
+            (format!("gemm/{tag}/packed").as_str(), &mut run_packed),
+            (format!("gemm/{tag}/fused_bias").as_str(), &mut run_fused),
+        ]);
     }
 
-    // Speedup table vs the seed kernel, from the recorded trimmed means.
+    // Speedup table vs the oracle loop, from the recorded trimmed means.
     let results = runner.results().to_vec();
     for (m, k, n) in sizes() {
         let tag = format!("{m}x{k}x{n}");
@@ -133,9 +107,7 @@ fn main() {
         };
         let Some(base) = stat("reference") else { continue };
         let mut row = format!("gemm/{tag} speedup vs reference:");
-        for suffix in
-            ["serial_blocked", "threads1", "threads2", "threads4", "threads8", "fused_bias"]
-        {
+        for suffix in ["packed", "fused_bias"] {
             if let Some(t) = stat(suffix) {
                 row.push_str(&format!(" {suffix} {:.2}x", base / t));
             }

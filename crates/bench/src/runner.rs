@@ -185,12 +185,14 @@ impl Runner {
         }
     }
 
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
     /// Runs one benchmark (unless filtered out) and records its result.
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return self;
-            }
+        if !self.selects(name) {
+            return self;
         }
         let mut bencher = Bencher {
             warmup_iters: self.warmup_iters,
@@ -201,6 +203,37 @@ impl Runner {
         let result = BenchResult::from_times(name, bencher.times_s);
         result.print();
         self.results.push(result);
+        self
+    }
+
+    /// Runs benchmarks that a threshold rule compares with each other as
+    /// one interleaved group. After every variant's warmup, samples
+    /// alternate variant by variant (A, B, A, B, …), so host noise that
+    /// drifts over the run — a neighbour's burst on a shared VM, a
+    /// frequency change — lands on every variant alike instead of on
+    /// whichever happened to run during it. Variants the filter rejects
+    /// are skipped; results are recorded in `variants` order.
+    pub fn bench_interleaved<F: FnMut()>(&mut self, variants: &mut [(&str, F)]) -> &mut Self {
+        let active: Vec<usize> =
+            (0..variants.len()).filter(|&v| self.selects(variants[v].0)).collect();
+        for &v in &active {
+            for _ in 0..self.warmup_iters {
+                (variants[v].1)();
+            }
+        }
+        let mut times_s = vec![Vec::with_capacity(self.sample_size); variants.len()];
+        for _ in 0..self.sample_size {
+            for &v in &active {
+                let start = Instant::now();
+                (variants[v].1)();
+                times_s[v].push(start.elapsed().as_secs_f64());
+            }
+        }
+        for &v in &active {
+            let result = BenchResult::from_times(variants[v].0, std::mem::take(&mut times_s[v]));
+            result.print();
+            self.results.push(result);
+        }
         self
     }
 
@@ -330,6 +363,25 @@ mod tests {
         runner.bench_function("unit/drop_me", |b| b.iter(|| ()));
         assert_eq!(runner.results().len(), 1);
         assert_eq!(runner.results()[0].name, "unit/keep_me");
+    }
+
+    #[test]
+    fn interleaved_group_alternates_samples_and_honours_the_filter() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let mut runner = Runner::default().sample_size(3).warmup_iters(1).filter("unit/");
+        let calls = &calls;
+        let push = |c: char| move || calls.borrow_mut().push(c);
+        runner.bench_interleaved(&mut [
+            ("unit/a", push('a')),
+            ("other/x", push('x')),
+            ("unit/b", push('b')),
+        ]);
+        // One warmup each, then three alternating samples; `other/x` is
+        // filtered out and never runs.
+        assert_eq!(calls.borrow().iter().collect::<String>(), "abababab");
+        let names: Vec<&str> = runner.results().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["unit/a", "unit/b"]);
+        assert!(runner.results().iter().all(|r| r.samples == 3));
     }
 
     #[test]

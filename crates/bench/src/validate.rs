@@ -283,7 +283,7 @@ pub fn validate_bench_json(text: &str) -> Result<usize, String> {
 /// their [`THRESHOLD_STAT`] field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdRule {
-    /// Name of the entry under constraint (e.g. `gemm/256x256x256/threads2`).
+    /// Name of the entry under constraint (e.g. `gemm/256x256x256/packed`).
     pub lhs: String,
     /// Maximum allowed ratio of `lhs` to `rhs`.
     pub factor: f64,
@@ -302,7 +302,7 @@ pub const THRESHOLD_STAT: &str = "trimmed_mean_s";
 /// <lhs-name> <= <factor> * <rhs-name>
 /// ```
 ///
-/// e.g. `gemm/256x256x256/threads2 <= 0.90 * gemm/256x256x256/serial_blocked`.
+/// e.g. `gemm/256x256x256/packed <= 0.30 * gemm/256x256x256/reference`.
 /// Blank lines and `#` comments (full-line or trailing) are ignored.
 ///
 /// # Errors
@@ -460,15 +460,15 @@ mod tests {
     fn threshold_rules_parse_with_comments_and_reject_garbage() {
         let rules = parse_threshold_rules(
             "# headline gate\n\
-             gemm/256x256x256/threads2 <= 0.90 * gemm/256x256x256/serial_blocked\n\
+             gemm/256x256x256/packed <= 0.30 * gemm/256x256x256/reference\n\
              \n\
              a/b <= 1.5 * c/d # trailing note\n",
         )
         .unwrap();
         assert_eq!(rules.len(), 2);
-        assert_eq!(rules[0].lhs, "gemm/256x256x256/threads2");
-        assert_eq!(rules[0].factor, 0.90);
-        assert_eq!(rules[0].rhs, "gemm/256x256x256/serial_blocked");
+        assert_eq!(rules[0].lhs, "gemm/256x256x256/packed");
+        assert_eq!(rules[0].factor, 0.30);
+        assert_eq!(rules[0].rhs, "gemm/256x256x256/reference");
 
         assert!(parse_threshold_rules("a <= fast * b").is_err());
         assert!(parse_threshold_rules("a <= -1 * b").is_err());

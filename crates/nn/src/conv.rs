@@ -133,8 +133,7 @@ impl Layer for Conv3d {
         let k = self.spec.in_channels * self.spec.kt * self.spec.kh * self.spec.kw;
         let wm = self.weight.value.reshape(&[self.out_channels, k])?;
         // The weight matrix is the left GEMM operand of every item, so
-        // pack it once and reuse the packed panels across the whole
-        // batch (and across the output stripes of each threaded GEMM)
+        // pack it once and reuse the packed blocks across the whole batch
         // instead of re-packing per item.
         let packed_w = PackedA::pack(&wm)?;
         let bv = self.bias.value.as_slice().to_vec();

@@ -41,7 +41,11 @@ use std::time::Duration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Retrieval worker threads draining the batched work queue.
+    /// Retrieval worker threads draining the batched work queue. These
+    /// are the service's only source of parallelism: each batched
+    /// forward runs serially on its worker (the tensor kernels never
+    /// split one product across threads), so cores go to concurrent
+    /// requests.
     pub workers: usize,
     /// Maximum requests coalesced into one batched backbone forward.
     pub batch_max: usize,
@@ -56,18 +60,6 @@ pub struct ServeConfig {
     /// query is never billed to the client's ledger. `None` disables the
     /// default deadline.
     pub default_deadline: Option<Duration>,
-    /// Threads the GEMM may use *inside* one forward pass (the only
-    /// kernel that uses the intra-op pool; im2col and the rest of the
-    /// forward run serially), applied process-wide at
-    /// [`crate::RetrievalService::start`] via
-    /// [`duo_tensor::set_intra_op_threads`]. `0` (the default) resolves
-    /// to the machine's available parallelism, capped at
-    /// [`duo_tensor::MAX_AUTO_THREADS`]. Results are bit-identical at
-    /// every setting — this trades latency only, never numerics — so the
-    /// knob composes freely with `workers` (inter-request parallelism):
-    /// batch-heavy deployments favour `workers`, latency-sensitive ones
-    /// give the spare cores to `intra_op_threads`.
-    pub intra_op_threads: usize,
     /// Optional blue-team stage: per-account streaming detection at
     /// admission plus optional input purification on the inference path.
     /// `None` (the default) serves undefended.
@@ -82,7 +74,6 @@ impl Default for ServeConfig {
             batch_wait: Duration::from_millis(2),
             queue_cap: 64,
             default_deadline: None,
-            intra_op_threads: 0,
             defense: None,
         }
     }

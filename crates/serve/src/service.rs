@@ -111,10 +111,6 @@ impl RetrievalService {
     /// queue capacity.
     pub fn start(system: RetrievalSystem, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
-        // Process-wide by design: the tensor kernels have one intra-op
-        // pool, and the service is the deployment-level owner of the
-        // threading budget. Bit-identical at any setting.
-        duo_tensor::set_intra_op_threads(config.intra_op_threads);
         let nodes = system.nodes().len();
         let shared = Arc::new(Shared {
             system,

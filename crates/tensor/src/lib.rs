@@ -31,7 +31,6 @@ mod conv;
 mod error;
 pub mod json;
 mod matmul;
-mod par;
 mod pool;
 mod rng;
 mod shape;
@@ -41,12 +40,7 @@ pub use conv::{col2im2d, col2im3d, im2col2d, im2col3d, im2col3d_into, Conv2dSpec
 pub use error::TensorError;
 pub use json::{Json, ToJson};
 pub use matmul::{
-    gemm, gemm_bias, gemm_bias_packed, gemm_bias_with, gemm_packed, matmul_into,
-    matmul_into_reference, matmul_into_serial, matmul_into_with, PackedA,
-};
-pub use par::{
-    intra_op_threads, set_intra_op_threads, PoolError, ThreadPool, MAX_AUTO_THREADS,
-    RING_CAPACITY,
+    gemm, gemm_bias, gemm_bias_packed, gemm_packed, matmul_into, matmul_into_reference, PackedA,
 };
 pub use pool::{avg_pool3d, avg_pool3d_backward, max_pool3d, max_pool3d_backward, Pool3dSpec};
 pub use rng::{RandomSource, Rng64, Xoshiro256pp};

@@ -43,11 +43,11 @@ DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench index
 # code-byte counters.
 DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin index_sweep
 
-# Kernel + serving + epoch bench smokes: the GEMM bench asserts
-# bit-identity on every variant (reference, serial, each thread count,
-# fused bias) before timing, the mutate bench asserts the epoch path
-# ranks identically to the frozen-snapshot baseline, and all three write
-# their BENCH_*.json artifacts at the repo root.
+# Kernel + serving + epoch bench smokes: the GEMM bench asserts the
+# packed kernel and the fused-bias path bit-identical to the oracle loop
+# before timing the three interleaved, the mutate bench asserts the
+# epoch path ranks identically to the frozen-snapshot baseline, and all
+# three write their BENCH_*.json artifacts at the repo root.
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench gemm
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench serve
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench mutate
