@@ -1,7 +1,7 @@
 use crate::{ModelError, MultiPath, Result};
 use duo_nn::{
-    AvgPool3d, Conv3d, Flatten, L2Normalize, Layer, Linear, MaxPool3d, Param,
-    Parameterized, Relu, Residual, Sequential, TemporalStride,
+    AvgPool3d, Conv3d, Flatten, L2Normalize, Layer, Linear, MaxPool3d, Param, Parameterized,
+    Relu, Residual, Sequential, Tape, TemporalStride,
 };
 use duo_tensor::{Conv3dSpec, Pool3dSpec, Rng64, Tensor};
 use duo_video::{ClipSpec, Video};
@@ -108,11 +108,20 @@ impl BackboneConfig {
 
 /// A video feature extractor: `[C, T, H, W]` clip → L2-normalized `[D]`
 /// embedding, with input gradients for transfer attacks.
-#[derive(Clone)]
 pub struct Backbone {
     arch: Architecture,
     config: BackboneConfig,
     net: Sequential,
+    /// The records of the latest training forward, until one backward
+    /// consumes them.
+    tape: Tape,
+}
+
+impl Clone for Backbone {
+    /// Clones the weights; the clone has no pending training forward.
+    fn clone(&self) -> Self {
+        Backbone { arch: self.arch, config: self.config, net: self.net.clone(), tape: Tape::new() }
+    }
 }
 
 impl std::fmt::Debug for Backbone {
@@ -287,7 +296,7 @@ impl Backbone {
         })?;
         net.push(Box::new(Linear::new(flat.len(), config.feature_dim, rng)));
         net.push(Box::new(L2Normalize::new()));
-        Ok(Backbone { arch, config, net })
+        Ok(Backbone { arch, config, net, tape: Tape::new() })
     }
 
     /// The architecture family of this backbone.
@@ -307,10 +316,9 @@ impl Backbone {
 
     /// Extracts the L2-normalized embedding of a video.
     ///
-    /// This is the pure inference path: it takes `&self`, leaves no
-    /// forward caches behind, and is bit-identical to
-    /// [`Backbone::extract_training`] for the deterministic layers used by
-    /// every built-in architecture. Because it is immutable, one backbone
+    /// This is the pure inference path: it takes `&self`, records nothing,
+    /// and runs the same forward program as [`Backbone::extract_training`],
+    /// so the two agree bit for bit. Because it is immutable, one backbone
     /// can serve concurrent extractions from many threads.
     ///
     /// # Errors
@@ -372,30 +380,42 @@ impl Backbone {
         Ok(outs)
     }
 
-    /// Extracts an embedding through the *training* forward pass, leaving
-    /// per-layer caches in place for a subsequent
-    /// [`Backbone::input_gradient`] or [`Backbone::backward_params`].
+    /// Extracts an embedding through the *training* forward pass, keeping
+    /// its tape for one subsequent [`Backbone::input_gradient`] or
+    /// [`Backbone::backward_params`].
     ///
-    /// Produces bit-identical embeddings to [`Backbone::extract`] for the
-    /// deterministic layers used by the built-in architectures; the only
-    /// difference is the cached state (and dropout masking, for user nets
-    /// that include a training-mode [`duo_nn::Dropout`]).
+    /// Bit-identical to [`Backbone::extract`]: both run the same forward
+    /// program; this one also records what the backward pass needs.
     ///
     /// # Errors
     ///
     /// Same as [`Backbone::extract`].
     pub fn extract_training(&mut self, video: &Video) -> Result<Tensor> {
-        Ok(self.net.forward(&video.to_model_input())?)
+        self.extract_tensor_training(&video.to_model_input())
     }
 
-    /// Training-path variant of [`Backbone::extract_tensor`]: caches the
-    /// forward state needed by the backward passes.
+    /// Training-path variant of [`Backbone::extract_tensor`]: keeps the
+    /// tape the backward passes need.
     ///
     /// # Errors
     ///
     /// Same as [`Backbone::extract`].
     pub fn extract_tensor_training(&mut self, input: &Tensor) -> Result<Tensor> {
-        Ok(self.net.forward(input)?)
+        self.tape.rewind();
+        let feature = self.net.forward(input, Some(&mut self.tape));
+        if feature.is_err() {
+            self.tape.rewind();
+        }
+        Ok(feature?)
+    }
+
+    /// Runs the one backward the latest training forward allows. An
+    /// empty tape fails at the first layer's pop; a failed backward still
+    /// spends the forward.
+    fn backward(&mut self, grad_feature: &Tensor) -> Result<Tensor> {
+        let grad = self.net.backward(&mut self.tape, grad_feature);
+        self.tape.rewind();
+        Ok(grad?)
     }
 
     /// Gradient of a scalar loss with respect to the *video pixels*
@@ -403,17 +423,17 @@ impl Backbone {
     /// the loss gradient with respect to the embedding.
     ///
     /// Must be called immediately after [`Backbone::extract_training`] on
-    /// the same video: the backward pass consumes the forward caches.
+    /// the same video: the backward pass consumes that forward's tape.
     ///
     /// Parameter gradients accumulated by this call are discarded — the
     /// attack differentiates the input, not the weights.
     ///
     /// # Errors
     ///
-    /// Returns an error if no forward pass preceded this call or shapes
-    /// mismatch.
+    /// Returns [`duo_nn::NnError::MissingForwardCache`] (as [`ModelError::Nn`]) if
+    /// no training forward is pending, or a shape error if shapes mismatch.
     pub fn input_gradient(&mut self, video: &Video, grad_feature: &Tensor) -> Result<Tensor> {
-        let grad_model = self.net.backward(grad_feature)?;
+        let grad_model = self.backward(grad_feature)?;
         // Attacks must not leak gradient state into subsequent training.
         self.net.zero_grad();
         Ok(video.gradient_to_video_layout(&grad_model)?)
@@ -427,9 +447,10 @@ impl Backbone {
     ///
     /// # Errors
     ///
-    /// Returns an error if no forward pass preceded this call.
+    /// Returns [`duo_nn::NnError::MissingForwardCache`] (as [`ModelError::Nn`]) if
+    /// no training forward is pending.
     pub fn backward_params(&mut self, grad_feature: &Tensor) -> Result<()> {
-        self.net.backward(grad_feature)?;
+        self.backward(grad_feature)?;
         Ok(())
     }
 
@@ -518,25 +539,6 @@ mod tests {
                 (num - ana).abs() < 1e-3 + 0.15 * ana.abs().max(num.abs()),
                 "probe {probe}: numeric {num} vs analytic {ana}"
             );
-        }
-    }
-
-    #[test]
-    fn inference_matches_training_forward_bitwise() {
-        let video = tiny_video();
-        for arch in [
-            Architecture::I3d,
-            Architecture::Tpn,
-            Architecture::SlowFast,
-            Architecture::Resnet34,
-            Architecture::C3d,
-            Architecture::Resnet18,
-        ] {
-            let mut rng = Rng64::new(106);
-            let mut model = Backbone::new(arch, BackboneConfig::tiny(), &mut rng).unwrap();
-            let infer = model.extract(&video).unwrap();
-            let train = model.extract_training(&video).unwrap();
-            assert_eq!(infer.as_slice(), train.as_slice(), "{arch}: infer must be bit-identical");
         }
     }
 

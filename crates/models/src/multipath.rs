@@ -1,4 +1,4 @@
-use duo_nn::{Layer, NnError, Param, Parameterized, Result as NnResult, Sequential};
+use duo_nn::{Layer, NnError, Param, Parameterized, Result as NnResult, Sequential, Tape};
 use duo_tensor::Tensor;
 
 /// Runs several branches on the same input and concatenates their rank-1
@@ -10,10 +10,9 @@ use duo_tensor::Tensor;
 /// concatenated vector feeds the embedding head. Backward splits the
 /// gradient at the recorded branch widths and sums the branch input
 /// gradients.
+#[derive(Clone)]
 pub struct MultiPath {
     branches: Vec<Sequential>,
-    out_lens: Vec<usize>,
-    forwarded: bool,
 }
 
 impl MultiPath {
@@ -24,13 +23,30 @@ impl MultiPath {
     /// Panics if `branches` is empty (a fusion of nothing is a bug).
     pub fn new(branches: Vec<Sequential>) -> Self {
         assert!(!branches.is_empty(), "MultiPath requires at least one branch");
-        MultiPath { branches, out_lens: Vec::new(), forwarded: false }
+        MultiPath { branches }
     }
 
     /// Number of branches.
     pub fn branch_count(&self) -> usize {
         self.branches.len()
     }
+}
+
+/// Concatenates one item's branch outputs in branch order, the fusion
+/// both the single and the batched forward end with.
+fn fuse<'a>(outs: impl Iterator<Item = &'a Tensor> + Clone) -> NnResult<Tensor> {
+    if let Some(y) = outs.clone().find(|y| y.rank() != 1) {
+        return Err(NnError::BadInput {
+            layer: "MultiPath",
+            reason: format!("branches must output rank-1 features, got {:?}", y.dims()),
+        });
+    }
+    let mut fused = Vec::with_capacity(outs.clone().map(Tensor::len).sum());
+    for y in outs {
+        fused.extend_from_slice(y.as_slice());
+    }
+    let len = fused.len();
+    Ok(Tensor::from_vec(fused, &[len])?)
 }
 
 impl std::fmt::Debug for MultiPath {
@@ -40,126 +56,62 @@ impl std::fmt::Debug for MultiPath {
 }
 
 impl Layer for MultiPath {
-    fn forward(&mut self, input: &Tensor) -> NnResult<Tensor> {
-        let mut outs = Vec::with_capacity(self.branches.len());
-        self.out_lens.clear();
-        for branch in &mut self.branches {
-            let y = branch.forward(input)?;
-            if y.rank() != 1 {
-                return Err(NnError::BadInput {
-                    layer: "MultiPath",
-                    reason: format!("branches must output rank-1 features, got {:?}", y.dims()),
-                });
-            }
-            self.out_lens.push(y.len());
-            outs.push(y);
-        }
-        self.forwarded = true;
-        let total: usize = self.out_lens.iter().sum();
-        let mut fused = Tensor::zeros(&[total]);
-        let fv = fused.as_mut_slice();
-        let mut off = 0;
-        for y in &outs {
-            fv[off..off + y.len()].copy_from_slice(y.as_slice());
-            off += y.len();
-        }
-        Ok(fused)
-    }
-
-    fn infer(&self, input: &Tensor) -> NnResult<Tensor> {
-        let mut outs = Vec::with_capacity(self.branches.len());
-        let mut total = 0;
-        for branch in &self.branches {
-            let y = branch.infer(input)?;
-            if y.rank() != 1 {
-                return Err(NnError::BadInput {
-                    layer: "MultiPath",
-                    reason: format!("branches must output rank-1 features, got {:?}", y.dims()),
-                });
-            }
-            total += y.len();
-            outs.push(y);
-        }
-        let mut fused = Tensor::zeros(&[total]);
-        let fv = fused.as_mut_slice();
-        let mut off = 0;
-        for y in &outs {
-            fv[off..off + y.len()].copy_from_slice(y.as_slice());
-            off += y.len();
+    fn forward(&self, input: &Tensor, mut tape: Option<&mut Tape>) -> NnResult<Tensor> {
+        let outs = self
+            .branches
+            .iter()
+            .map(|branch| branch.forward(input, tape.as_deref_mut()))
+            .collect::<NnResult<Vec<Tensor>>>()?;
+        let fused = fuse(outs.iter())?;
+        if let Some(tape) = tape {
+            tape.push(outs.iter().map(Tensor::len).collect::<Vec<usize>>());
         }
         Ok(fused)
     }
 
     fn infer_batch(&self, inputs: &[Tensor]) -> NnResult<Vec<Tensor>> {
         // Run each branch over the whole batch (so its conv layers
-        // amortize their batched setup), then concatenate per item in the
-        // same branch order as `infer`.
-        let mut branch_outs = Vec::with_capacity(self.branches.len());
-        for branch in &self.branches {
-            let ys = branch.infer_batch(inputs)?;
-            for y in &ys {
-                if y.rank() != 1 {
-                    return Err(NnError::BadInput {
-                        layer: "MultiPath",
-                        reason: format!("branches must output rank-1 features, got {:?}", y.dims()),
-                    });
-                }
-            }
-            branch_outs.push(ys);
-        }
-        let mut fused_all = Vec::with_capacity(inputs.len());
-        for i in 0..inputs.len() {
-            let total: usize = branch_outs.iter().map(|ys| ys[i].len()).sum();
-            let mut fused = Tensor::zeros(&[total]);
-            let fv = fused.as_mut_slice();
-            let mut off = 0;
-            for ys in &branch_outs {
-                let y = &ys[i];
-                fv[off..off + y.len()].copy_from_slice(y.as_slice());
-                off += y.len();
-            }
-            fused_all.push(fused);
-        }
-        Ok(fused_all)
+        // amortize their batched setup), then fuse per item in branch
+        // order, exactly as `forward` does.
+        let branch_outs = self
+            .branches
+            .iter()
+            .map(|branch| branch.infer_batch(inputs))
+            .collect::<NnResult<Vec<Vec<Tensor>>>>()?;
+        (0..inputs.len()).map(|i| fuse(branch_outs.iter().map(|ys| &ys[i]))).collect()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> NnResult<Tensor> {
-        if !self.forwarded {
-            return Err(NnError::MissingForwardCache { layer: "MultiPath" });
-        }
-        let total: usize = self.out_lens.iter().sum();
-        if grad_out.len() != total {
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> NnResult<Tensor> {
+        let out_lens = tape.pop::<Vec<usize>>("MultiPath")?.clone();
+        let total: usize = out_lens.iter().sum();
+        if grad_out.len() != total || out_lens.len() != self.branches.len() {
             return Err(NnError::BadInput {
                 layer: "MultiPath",
-                reason: format!("grad length {} != fused width {total}", grad_out.len()),
+                reason: format!(
+                    "grad length {} != fused width {total} ({} branches recorded, {} built)",
+                    grad_out.len(),
+                    out_lens.len(),
+                    self.branches.len()
+                ),
             });
         }
+        // Branches recorded in order, so they pop last-first; the input
+        // gradients are summed in branch order (0 + 1 + …) all the same.
         let gv = grad_out.as_slice();
-        let mut grad_in: Option<Tensor> = None;
-        let mut off = 0;
-        for (branch, &len) in self.branches.iter_mut().zip(&self.out_lens) {
-            let part = Tensor::from_vec(gv[off..off + len].to_vec(), &[len])
-                .expect("slice length matches shape by construction");
-            off += len;
-            let gi = branch.backward(&part)?;
-            grad_in = Some(match grad_in {
-                None => gi,
-                Some(acc) => acc.add(&gi)?,
-            });
+        let mut end = total;
+        let mut grads = Vec::with_capacity(self.branches.len());
+        for (branch, &len) in self.branches.iter_mut().zip(&out_lens).rev() {
+            let part = Tensor::from_vec(gv[end - len..end].to_vec(), &[len])?;
+            end -= len;
+            grads.push(branch.backward(tape, &part)?);
         }
-        Ok(grad_in.expect("at least one branch by construction"))
+        let mut grads = grads.into_iter().rev();
+        let first = grads.next().expect("at least one branch by construction");
+        grads.try_fold(first, |acc, gi| Ok(acc.add(&gi)?))
     }
 
     fn name(&self) -> &'static str {
         "MultiPath"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(MultiPath {
-            branches: self.branches.clone(),
-            out_lens: Vec::new(),
-            forwarded: false,
-        })
     }
 }
 
@@ -190,8 +142,8 @@ mod tests {
     #[test]
     fn forward_concatenates_branch_outputs() {
         let mut rng = Rng64::new(91);
-        let mut mp = two_branch(&mut rng);
-        let y = mp.forward(&Tensor::ones(&[3])).unwrap();
+        let mp = two_branch(&mut rng);
+        let y = mp.infer(&Tensor::ones(&[3])).unwrap();
         assert_eq!(y.dims(), &[6]);
     }
 
@@ -200,9 +152,11 @@ mod tests {
         let mut rng = Rng64::new(92);
         let mut mp = two_branch(&mut rng);
         let x = Tensor::ones(&[3]);
-        mp.forward(&x).unwrap();
-        let g = mp.backward(&Tensor::ones(&[6])).unwrap();
+        let mut tape = Tape::new();
+        mp.forward(&x, Some(&mut tape)).unwrap();
+        let g = mp.backward(&mut tape, &Tensor::ones(&[6])).unwrap();
         assert_eq!(g.dims(), &[3]);
+        assert!(tape.is_empty(), "backward pops every branch record");
     }
 
     #[test]
@@ -226,7 +180,7 @@ mod tests {
     fn backward_before_forward_errors() {
         let mut rng = Rng64::new(95);
         let mut mp = two_branch(&mut rng);
-        assert!(mp.backward(&Tensor::ones(&[6])).is_err());
+        assert!(mp.backward(&mut Tape::new(), &Tensor::ones(&[6])).is_err());
     }
 
     #[test]

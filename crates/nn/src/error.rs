@@ -6,7 +6,8 @@ use std::fmt;
 pub enum NnError {
     /// A tensor-level operation failed.
     Tensor(TensorError),
-    /// `backward` was called before `forward` populated the layer cache.
+    /// `backward` found no matching forward record on its tape: no
+    /// training forward ran, or its records were already consumed.
     MissingForwardCache {
         /// Name of the offending layer.
         layer: &'static str,

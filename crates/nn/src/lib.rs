@@ -5,14 +5,16 @@
 //! *input* (SparseTransfer's perturbation updates differentiate through the
 //! surrogate model down to the video pixels), and gradients with respect to
 //! the *parameters* (training victim and surrogate models with metric
-//! losses). This crate provides exactly that via a [`Layer`] trait whose
-//! implementations carry explicit forward caches and hand-derived backward
-//! passes, each validated against finite differences by the test suite.
+//! losses). This crate provides exactly that via a [`Layer`] trait with
+//! one forward program per layer: run with a caller-owned [`Tape`], it
+//! records what the hand-derived backward pass needs; run without one, it
+//! is the inference path. Every backward is validated against finite
+//! differences by the test suite.
 //!
 //! # Example
 //!
 //! ```
-//! use duo_nn::{Layer, Linear, Relu, Sequential};
+//! use duo_nn::{Layer, Linear, Relu, Sequential, Tape};
 //! use duo_tensor::{Rng64, Tensor};
 //!
 //! let mut rng = Rng64::new(0);
@@ -21,10 +23,11 @@
 //!     Box::new(Relu::new()),
 //!     Box::new(Linear::new(8, 2, &mut rng)),
 //! ]);
-//! let x = duo_tensor::Tensor::ones(&[4]);
-//! let y = net.forward(&x)?;
-//! assert_eq!(y.dims(), &[2]);
-//! let grad_x = net.backward(&duo_tensor::Tensor::ones(&[2]))?;
+//! let x = Tensor::ones(&[4]);
+//! let mut tape = Tape::new();
+//! let y = net.forward(&x, Some(&mut tape))?;
+//! assert_eq!(y.as_slice(), net.infer(&x)?.as_slice());
+//! let grad_x = net.backward(&mut tape, &Tensor::ones(&[2]))?;
 //! assert_eq!(grad_x.dims(), &[4]);
 //! # Ok::<(), duo_nn::NnError>(())
 //! ```
@@ -33,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod conv;
-mod dropout;
 mod error;
 mod gradcheck;
 mod layer;
@@ -42,19 +44,21 @@ mod norm;
 mod optim;
 mod param;
 mod pool;
+mod tape;
 
 pub use conv::Conv3d;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use gradcheck::{check_input_gradient, numeric_input_gradient};
 pub use layer::{
-    GlobalAvgPool, L2Normalize, Layer, Parameterized, Relu, Residual, Sequential, TemporalStride,
+    CloneLayer, GlobalAvgPool, L2Normalize, Layer, Parameterized, Relu, Residual, Sequential,
+    TemporalStride,
 };
 pub use linear::{Flatten, Linear};
 pub use norm::InstanceNorm;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use pool::{AvgPool3d, MaxPool3d};
+pub use tape::Tape;
 
 /// Convenient result alias used across the NN crate.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -1,4 +1,4 @@
-use crate::{Layer, NnError, Param, Result};
+use crate::{Layer, NnError, Param, Result, Tape};
 use duo_tensor::{Rng64, Tensor};
 
 /// Output rows [`Linear`] keeps in flight at once.
@@ -9,12 +9,12 @@ const ROWS: usize = 8;
 /// Batches run per sample through the [`Layer::infer_batch`] default: the
 /// interleaved per-sample kernel streams `W` once per clip, cheaper than
 /// transposing it for a batched GEMM at serving batch sizes.
+#[derive(Clone)]
 pub struct Linear {
     weight: Param,
     bias: Param,
     in_features: usize,
     out_features: usize,
-    cache: Option<Tensor>,
 }
 
 impl Linear {
@@ -23,7 +23,7 @@ impl Linear {
         let std = (2.0 / in_features as f32).sqrt();
         let weight = Param::new(Tensor::randn(&[out_features, in_features], std, rng.as_rng()));
         let bias = Param::new(Tensor::zeros(&[out_features]));
-        Linear { weight, bias, in_features, out_features, cache: None }
+        Linear { weight, bias, in_features, out_features }
     }
 
     /// Input dimensionality.
@@ -35,8 +35,19 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+}
 
-    fn compute(&self, input: &Tensor) -> Result<Tensor> {
+impl std::fmt::Debug for Linear {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Linear")
+            .field("in", &self.in_features)
+            .field("out", &self.out_features)
+            .finish()
+    }
+}
+
+impl Layer for Linear {
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor> {
         if input.rank() != 1 || input.len() != self.in_features {
             return Err(NnError::BadInput {
                 layer: "Linear",
@@ -77,32 +88,14 @@ impl Linear {
             let row = &wv[o * nin..(o + 1) * nin];
             *y = row.iter().zip(xv).fold(0.0f32, |s, (w, &x)| w.mul_add(x, s)) + bv[o];
         }
-        Ok(out)
-    }
-}
-
-impl std::fmt::Debug for Linear {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Linear")
-            .field("in", &self.in_features)
-            .field("out", &self.out_features)
-            .finish()
-    }
-}
-
-impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = self.compute(input)?;
-        self.cache = Some(input.clone());
+        if let Some(tape) = tape {
+            tape.push(input.clone());
+        }
         Ok(out)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        self.compute(input)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let x = self.cache.as_ref().ok_or(NnError::MissingForwardCache { layer: "Linear" })?;
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        let x: &Tensor = tape.pop("Linear")?;
         if grad_out.len() != self.out_features {
             return Err(NnError::BadInput {
                 layer: "Linear",
@@ -136,16 +129,6 @@ impl Layer for Linear {
     fn name(&self) -> &'static str {
         "Linear"
     }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Linear {
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
-            in_features: self.in_features,
-            out_features: self.out_features,
-            cache: None,
-        })
-    }
 }
 
 impl crate::Parameterized for Linear {
@@ -159,40 +142,31 @@ crate::param_free!(Flatten);
 
 /// Reshapes any input to a rank-1 vector (and restores the shape on the
 /// way back).
-#[derive(Debug, Default)]
-pub struct Flatten {
-    in_dims: Option<Vec<usize>>,
-}
+#[derive(Debug, Default, Clone)]
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flattening layer.
     pub fn new() -> Self {
-        Flatten { in_dims: None }
+        Flatten
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.in_dims = Some(input.dims().to_vec());
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor> {
+        if let Some(tape) = tape {
+            tape.push(input.dims().to_vec());
+        }
         Ok(input.reshape(&[input.len()])?)
     }
 
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.reshape(&[input.len()])?)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let dims =
-            self.in_dims.as_ref().ok_or(NnError::MissingForwardCache { layer: "Flatten" })?;
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        let dims: &Vec<usize> = tape.pop("Flatten")?;
         Ok(grad_out.reshape(dims)?)
     }
 
     fn name(&self) -> &'static str {
         "Flatten"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(Flatten::new())
     }
 }
 
@@ -207,7 +181,7 @@ mod tests {
         // Overwrite weights deterministically.
         lin.weight.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         lin.bias.value = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
-        let y = lin.forward(&Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap()).unwrap();
+        let y = lin.infer(&Tensor::from_vec(vec![1.0, 1.0], &[2]).unwrap()).unwrap();
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
     }
 
@@ -217,14 +191,18 @@ mod tests {
         let mut lin = Linear::new(2, 1, &mut rng);
         lin.weight.value = Tensor::from_vec(vec![2.0, -1.0], &[1, 2]).unwrap();
         let x = Tensor::from_vec(vec![3.0, 5.0], &[2]).unwrap();
-        lin.forward(&x).unwrap();
-        let gx = lin.backward(&Tensor::from_vec(vec![2.0], &[1]).unwrap()).unwrap();
+        // Two forwards on one tape: each backward pops one record.
+        let mut tape = Tape::new();
+        lin.forward(&x, Some(&mut tape)).unwrap();
+        lin.forward(&x, Some(&mut tape)).unwrap();
+        let gx = lin.backward(&mut tape, &Tensor::from_vec(vec![2.0], &[1]).unwrap()).unwrap();
         assert_eq!(gx.as_slice(), &[4.0, -2.0]);
         assert_eq!(lin.weight.grad.as_slice(), &[6.0, 10.0]);
         assert_eq!(lin.bias.grad.as_slice(), &[2.0]);
         // Accumulation: a second backward doubles the gradients.
-        lin.backward(&Tensor::from_vec(vec![2.0], &[1]).unwrap()).unwrap();
+        lin.backward(&mut tape, &Tensor::from_vec(vec![2.0], &[1]).unwrap()).unwrap();
         assert_eq!(lin.weight.grad.as_slice(), &[12.0, 20.0]);
+        assert!(lin.backward(&mut tape, &Tensor::ones(&[1])).is_err(), "tape is spent");
     }
 
     #[test]
@@ -251,18 +229,19 @@ mod tests {
     #[test]
     fn linear_rejects_bad_input() {
         let mut rng = Rng64::new(5);
-        let mut lin = Linear::new(3, 2, &mut rng);
-        assert!(lin.forward(&Tensor::ones(&[4])).is_err());
-        assert!(lin.forward(&Tensor::ones(&[3, 1])).is_err());
+        let lin = Linear::new(3, 2, &mut rng);
+        assert!(lin.infer(&Tensor::ones(&[4])).is_err());
+        assert!(lin.infer(&Tensor::ones(&[3, 1])).is_err());
     }
 
     #[test]
     fn flatten_round_trips_shape() {
         let mut fl = Flatten::new();
+        let mut tape = Tape::new();
         let x = Tensor::ones(&[2, 3, 4]);
-        let y = fl.forward(&x).unwrap();
+        let y = fl.forward(&x, Some(&mut tape)).unwrap();
         assert_eq!(y.dims(), &[24]);
-        let g = fl.backward(&Tensor::ones(&[24])).unwrap();
+        let g = fl.backward(&mut tape, &Tensor::ones(&[24])).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4]);
     }
 }

@@ -6,19 +6,20 @@
 //! equivalent that actually works, and it is available to downstream
 //! users building their own backbones on `duo-nn`.
 
-use crate::{Layer, NnError, Param, Parameterized, Result};
+use crate::{Layer, NnError, Param, Parameterized, Result, Tape};
 use duo_tensor::Tensor;
 
 /// Per-channel instance normalization with learned affine parameters.
+#[derive(Clone)]
 pub struct InstanceNorm {
     gamma: Param,
     beta: Param,
     channels: usize,
     eps: f32,
-    cache: Option<NormCache>,
 }
 
-struct NormCache {
+/// What the backward pass needs from one forward.
+struct NormRecord {
     normalized: Tensor,
     inv_std: Vec<f32>,
     in_dims: Vec<usize>,
@@ -33,7 +34,6 @@ impl InstanceNorm {
             beta: Param::new(Tensor::zeros(&[channels])),
             channels,
             eps: 1e-5,
-            cache: None,
         }
     }
 
@@ -50,7 +50,7 @@ impl std::fmt::Debug for InstanceNorm {
 }
 
 impl Layer for InstanceNorm {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&self, input: &Tensor, tape: Option<&mut Tape>) -> Result<Tensor> {
         if input.rank() < 2 || input.dims()[0] != self.channels {
             return Err(NnError::BadInput {
                 layer: "InstanceNorm",
@@ -88,63 +88,29 @@ impl Layer for InstanceNorm {
                 ov[c * per + i] = gv[c] * xhat + bv[c];
             }
         }
-        self.cache = Some(NormCache { normalized, inv_std, in_dims: input.dims().to_vec() });
-        Ok(out)
-    }
-
-    fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        if input.rank() < 2 || input.dims()[0] != self.channels {
-            return Err(NnError::BadInput {
-                layer: "InstanceNorm",
-                reason: format!(
-                    "needs [C={}, …] with rank ≥ 2, got {:?}",
-                    self.channels,
-                    input.dims()
-                ),
-            });
-        }
-        let per: usize = input.dims()[1..].iter().product();
-        if per == 0 {
-            return Err(NnError::BadInput {
-                layer: "InstanceNorm",
-                reason: "empty spatial extent".into(),
-            });
-        }
-        let iv = input.as_slice();
-        let gv = self.gamma.value.as_slice();
-        let bv = self.beta.value.as_slice();
-        let mut out = Tensor::zeros(input.dims());
-        let ov = out.as_mut_slice();
-        for c in 0..self.channels {
-            let slice = &iv[c * per..(c + 1) * per];
-            let mean = slice.iter().sum::<f32>() / per as f32;
-            let var = slice.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / per as f32;
-            let is = 1.0 / (var + self.eps).sqrt();
-            for (i, &x) in slice.iter().enumerate() {
-                ov[c * per + i] = gv[c] * ((x - mean) * is) + bv[c];
-            }
+        if let Some(tape) = tape {
+            tape.push(NormRecord { normalized, inv_std, in_dims: input.dims().to_vec() });
         }
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let cache =
-            self.cache.as_ref().ok_or(NnError::MissingForwardCache { layer: "InstanceNorm" })?;
-        if grad_out.dims() != cache.in_dims.as_slice() {
+    fn backward(&mut self, tape: &mut Tape, grad_out: &Tensor) -> Result<Tensor> {
+        let rec: &NormRecord = tape.pop("InstanceNorm")?;
+        if grad_out.dims() != rec.in_dims.as_slice() {
             return Err(NnError::BadInput {
                 layer: "InstanceNorm",
                 reason: format!(
-                    "grad dims {:?} != cached {:?}",
+                    "grad dims {:?} != recorded {:?}",
                     grad_out.dims(),
-                    cache.in_dims
+                    rec.in_dims
                 ),
             });
         }
-        let per: usize = cache.in_dims[1..].iter().product();
+        let per: usize = rec.in_dims[1..].iter().product();
         let gv = grad_out.as_slice();
-        let xhat = cache.normalized.as_slice();
+        let xhat = rec.normalized.as_slice();
         let gamma = self.gamma.value.as_slice();
-        let mut grad_in = Tensor::zeros(&cache.in_dims);
+        let mut grad_in = Tensor::zeros(&rec.in_dims);
         let giv = grad_in.as_mut_slice();
         let ggrad = self.gamma.grad.as_mut_slice();
         let bgrad = self.beta.grad.as_mut_slice();
@@ -156,7 +122,7 @@ impl Layer for InstanceNorm {
             ggrad[c] += sum_gx;
             bgrad[c] += sum_g;
             let n = per as f32;
-            let scale = gamma[c] * cache.inv_std[c];
+            let scale = gamma[c] * rec.inv_std[c];
             for i in 0..per {
                 // dL/dx = γ/σ · (g − mean(g) − x̂·mean(g·x̂))
                 giv[c * per + i] = scale * (g[i] - sum_g / n - xh[i] * sum_gx / n);
@@ -167,16 +133,6 @@ impl Layer for InstanceNorm {
 
     fn name(&self) -> &'static str {
         "InstanceNorm"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(InstanceNorm {
-            gamma: self.gamma.clone(),
-            beta: self.beta.clone(),
-            channels: self.channels,
-            eps: self.eps,
-            cache: None,
-        })
     }
 }
 
@@ -194,10 +150,10 @@ mod tests {
 
     #[test]
     fn output_is_normalized_per_channel() {
-        let mut layer = InstanceNorm::new(2);
+        let layer = InstanceNorm::new(2);
         let mut rng = Rng64::new(291);
         let x = Tensor::rand_uniform(&[2, 4, 4], 5.0, 50.0, rng.as_rng());
-        let y = layer.forward(&x).unwrap();
+        let y = layer.infer(&x).unwrap();
         for c in 0..2 {
             let slice = &y.as_slice()[c * 16..(c + 1) * 16];
             let mean = slice.iter().sum::<f32>() / 16.0;
@@ -213,7 +169,7 @@ mod tests {
         layer.gamma.value = Tensor::from_vec(vec![2.0], &[1]).unwrap();
         layer.beta.value = Tensor::from_vec(vec![5.0], &[1]).unwrap();
         let x = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0], &[1, 4]).unwrap();
-        let y = layer.forward(&x).unwrap();
+        let y = layer.infer(&x).unwrap();
         let mean = y.mean();
         assert!((mean - 5.0).abs() < 1e-4, "β shifts the mean, got {mean}");
     }
@@ -231,8 +187,9 @@ mod tests {
     fn parameter_gradients_accumulate() {
         let mut layer = InstanceNorm::new(1);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]).unwrap();
-        layer.forward(&x).unwrap();
-        layer.backward(&Tensor::ones(&[1, 4])).unwrap();
+        let mut tape = Tape::new();
+        layer.forward(&x, Some(&mut tape)).unwrap();
+        layer.backward(&mut tape, &Tensor::ones(&[1, 4])).unwrap();
         assert_eq!(layer.beta.grad.as_slice(), &[4.0], "dβ = Σ g");
         // dγ = Σ g·x̂ = 0 for symmetric x̂ under constant g.
         assert!(layer.gamma.grad.as_slice()[0].abs() < 1e-5);
@@ -241,7 +198,9 @@ mod tests {
     #[test]
     fn rejects_wrong_channel_count_and_missing_forward() {
         let mut layer = InstanceNorm::new(3);
-        assert!(layer.forward(&Tensor::ones(&[2, 4])).is_err());
-        assert!(layer.backward(&Tensor::ones(&[3, 4])).is_err());
+        let mut tape = Tape::new();
+        assert!(layer.forward(&Tensor::ones(&[2, 4]), Some(&mut tape)).is_err());
+        assert!(tape.is_empty(), "a failed forward records nothing");
+        assert!(layer.backward(&mut tape, &Tensor::ones(&[3, 4])).is_err());
     }
 }

@@ -128,7 +128,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Layer, Linear, Sequential};
+    use crate::{Layer, Linear, Sequential, Tape};
     use duo_tensor::{Rng64, Tensor};
 
     /// Trains y = 2x on a 1-d linear model and checks convergence.
@@ -138,12 +138,13 @@ mod tests {
             Sequential::new(vec![Box::new(Linear::new(1, 1, &mut rng)) as Box<dyn crate::Layer>]);
         for _ in 0..300 {
             let x = Tensor::from_vec(vec![1.0], &[1]).unwrap();
-            let y = net.forward(&x).unwrap();
+            let mut tape = Tape::new();
+            let y = net.forward(&x, Some(&mut tape)).unwrap();
             let err = y.as_slice()[0] - 2.0;
-            net.backward(&Tensor::from_vec(vec![2.0 * err], &[1]).unwrap()).unwrap();
+            net.backward(&mut tape, &Tensor::from_vec(vec![2.0 * err], &[1]).unwrap()).unwrap();
             opt.step(&mut net);
         }
-        let y = net.forward(&Tensor::from_vec(vec![1.0], &[1]).unwrap()).unwrap();
+        let y = net.infer(&Tensor::from_vec(vec![1.0], &[1]).unwrap()).unwrap();
         (y.as_slice()[0] - 2.0).abs()
     }
 
@@ -164,8 +165,9 @@ mod tests {
         let mut rng = Rng64::new(62);
         let mut net =
             Sequential::new(vec![Box::new(Linear::new(2, 2, &mut rng)) as Box<dyn crate::Layer>]);
-        net.forward(&Tensor::ones(&[2])).unwrap();
-        net.backward(&Tensor::ones(&[2])).unwrap();
+        let mut tape = Tape::new();
+        net.forward(&Tensor::ones(&[2]), Some(&mut tape)).unwrap();
+        net.backward(&mut tape, &Tensor::ones(&[2])).unwrap();
         let mut opt = Adam::new(0.001);
         opt.step(&mut net);
         let mut remaining = 0usize;

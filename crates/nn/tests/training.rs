@@ -2,8 +2,8 @@
 //! composes into a network that actually learns.
 
 use duo_nn::{
-    Adam, Conv3d, Dropout, Flatten, InstanceNorm, L2Normalize, Layer, Linear, MaxPool3d,
-    Optimizer, Relu, Residual, Sequential, Sgd,
+    Adam, Conv3d, Flatten, InstanceNorm, L2Normalize, Layer, Linear, MaxPool3d, Optimizer, Relu,
+    Residual, Sequential, Sgd, Tape,
 };
 use duo_tensor::{Conv3dSpec, Pool3dSpec, Rng64, Tensor};
 
@@ -34,7 +34,6 @@ fn build_net(rng: &mut Rng64, with_extras: bool) -> Sequential {
             Box::new(Relu::new()),
         ]);
         layers.push(Box::new(Residual::identity(main)));
-        layers.push(Box::new(Dropout::new(0.1, 7)));
     }
     layers.push(Box::new(MaxPool3d::new(Pool3dSpec::spatial(2))));
     layers.push(Box::new(Flatten::new()));
@@ -63,9 +62,10 @@ fn train_and_eval(opt: &mut dyn Optimizer, with_extras: bool, seed: u64) -> f32 
     for _epoch in 0..30 {
         for class in 0..2 {
             let (x, label) = make_sample(class, &mut rng);
-            let logits = net.forward(&x).unwrap();
+            let mut tape = Tape::new();
+            let logits = net.forward(&x, Some(&mut tape)).unwrap();
             let (_, grad) = ce_loss(&logits, label);
-            net.backward(&grad).unwrap();
+            net.backward(&mut tape, &grad).unwrap();
         }
         opt.step(&mut net);
     }
@@ -73,7 +73,7 @@ fn train_and_eval(opt: &mut dyn Optimizer, with_extras: bool, seed: u64) -> f32 
     let mut correct = 0;
     for trial in 0..20 {
         let (x, label) = make_sample(trial % 2, &mut rng);
-        let logits = net.forward(&x).unwrap();
+        let logits = net.infer(&x).unwrap();
         if logits.argmax() == Some(label) {
             correct += 1;
         }
@@ -92,7 +92,7 @@ fn plain_conv_net_learns_with_adam() {
 fn full_layer_zoo_learns_with_adam() {
     let mut opt = Adam::new(0.01);
     let acc = train_and_eval(&mut opt, true, 805);
-    assert!(acc >= 0.9, "accuracy {acc} (with InstanceNorm, Residual, Dropout)");
+    assert!(acc >= 0.9, "accuracy {acc} (with InstanceNorm, Residual)");
 }
 
 #[test]
@@ -124,10 +124,11 @@ fn normalize_head_trains_metrically() {
     let mut last_cos = -1.0;
     for _ in 0..60 {
         let (x, _) = make_sample(0, &mut rng);
-        let emb = net.forward(&x).unwrap();
+        let mut tape = Tape::new();
+        let emb = net.forward(&x, Some(&mut tape)).unwrap();
         last_cos = emb.dot(&anchor_dir).unwrap();
         // Maximize cosine to the anchor: gradient = −anchor.
-        net.backward(&anchor_dir.scale(-1.0)).unwrap();
+        net.backward(&mut tape, &anchor_dir.scale(-1.0)).unwrap();
         opt.step(&mut net);
     }
     assert!(last_cos > 0.8, "embedding should align with the anchor, cos {last_cos}");

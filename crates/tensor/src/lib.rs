@@ -39,9 +39,7 @@ mod tensor;
 pub use conv::{col2im2d, col2im3d, im2col2d, im2col3d, im2col3d_into, Conv2dSpec, Conv3dSpec};
 pub use error::TensorError;
 pub use json::{Json, ToJson};
-pub use matmul::{
-    gemm, gemm_bias, gemm_bias_packed, gemm_packed, matmul_into, matmul_into_reference, PackedA,
-};
+pub use matmul::{gemm, gemm_bias, gemm_packed, matmul_into_reference, PackedA};
 pub use pool::{avg_pool3d, avg_pool3d_backward, max_pool3d, max_pool3d_backward, Pool3dSpec};
 pub use rng::{RandomSource, Rng64, Xoshiro256pp};
 pub use shape::Shape;

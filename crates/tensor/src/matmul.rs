@@ -69,7 +69,7 @@ fn validate(a: &Tensor, b: &Tensor, out: &Tensor) -> Result<(usize, usize, usize
         return Err(TensorError::ShapeMismatch {
             lhs: out.dims().to_vec(),
             rhs: vec![m, n],
-            op: "matmul_into(out)",
+            op: "gemm(out)",
         });
     }
     Ok((m, k, n))
@@ -160,7 +160,7 @@ mod workspace {
 // ---------------------------------------------------------------------
 
 /// The left GEMM operand packed for the micro-kernels, reusable across
-/// calls ([`gemm_packed`] / [`gemm_bias_packed`]).
+/// calls ([`gemm_packed`]).
 ///
 /// Layout: rows are grouped into blocks of 8 (`MR8`); within block `b`,
 /// element `a[8b + r][p]` lives at `data[8bk + 8p + r]`, so the wide
@@ -171,8 +171,8 @@ mod workspace {
 ///
 /// A `PackedA` is a snapshot — it does not observe later writes to the
 /// tensor it was packed from, so repack after any weight update (the nn
-/// layers pack per `infer_batch` call, which makes staleness impossible
-/// by construction).
+/// layers pack per `forward` / `infer_batch` call, which makes staleness
+/// impossible by construction).
 pub struct PackedA {
     data: Vec<f32>,
     rows: usize,
@@ -289,25 +289,17 @@ fn pack_b_slice(bv: &[f32], k: usize, n: usize) -> PackedB {
 // Public entry points
 // ---------------------------------------------------------------------
 
-/// Multiplies two rank-2 tensors, writing into a preallocated output.
+/// GEMM entry point: `out = a · b` into a preallocated output, on the
+/// packed serial kernel.
 ///
-/// `out` must have shape `[a.rows, b.cols]`. Prefer this over
-/// [`Tensor::matmul`] inside hot loops to avoid reallocation. Same kernel
-/// and same bits as [`gemm`].
+/// `out` must have shape `[a.rows, b.cols]`; its previous contents are
+/// overwritten. Prefer this over [`Tensor::matmul`] inside hot loops to
+/// avoid reallocation.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] if any operand is not rank 2 and
 /// [`TensorError::ShapeMismatch`] if the dimensions are incompatible.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    gemm(a, b, out)
-}
-
-/// GEMM entry point: `out = a · b`, on the packed serial kernel.
-///
-/// # Errors
-///
-/// Same as [`matmul_into`].
 pub fn gemm(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let (m, k, n) = validate(a, b, out)?;
     let pa = PackedA::pack_slice(a.as_slice(), m, k);
@@ -326,8 +318,8 @@ pub fn gemm(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError>
 ///
 /// # Errors
 ///
-/// Same as [`matmul_into`], plus rank/shape errors for a `bias` that is
-/// not a length-`n` vector.
+/// Same as [`gemm`], plus rank/shape errors for a `bias` that is not a
+/// length-`n` vector.
 pub fn gemm_bias(a: &Tensor, b: &Tensor, bias: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let (m, k, n) = validate(a, b, out)?;
     validate_bias(bias, n)?;
@@ -342,28 +334,10 @@ pub fn gemm_bias(a: &Tensor, b: &Tensor, bias: &Tensor, out: &mut Tensor) -> Res
 ///
 /// # Errors
 ///
-/// Same shape errors as [`matmul_into`] with `a`'s shape taken from the
-/// packing.
+/// Same shape errors as [`gemm`] with `a`'s shape taken from the packing.
 pub fn gemm_packed(pa: &PackedA, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let n = validate_packed(pa, b, out)?;
     gemm_kernel(pa, b.as_slice(), None, out.as_mut_slice(), n);
-    Ok(())
-}
-
-/// [`gemm_bias`] against a pre-packed left operand.
-///
-/// # Errors
-///
-/// Same as [`gemm_packed`], plus bias shape errors as in [`gemm_bias`].
-pub fn gemm_bias_packed(
-    pa: &PackedA,
-    b: &Tensor,
-    bias: &Tensor,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    let n = validate_packed(pa, b, out)?;
-    validate_bias(bias, n)?;
-    gemm_kernel(pa, b.as_slice(), Some(bias.as_slice()), out.as_mut_slice(), n);
     Ok(())
 }
 
@@ -383,7 +357,7 @@ fn validate_packed(pa: &PackedA, b: &Tensor, out: &Tensor) -> Result<usize, Tens
         return Err(TensorError::ShapeMismatch {
             lhs: out.dims().to_vec(),
             rhs: vec![pa.rows, n],
-            op: "matmul_into(out)",
+            op: "gemm(out)",
         });
     }
     Ok(n)
@@ -398,7 +372,7 @@ fn validate_packed(pa: &PackedA, b: &Tensor, out: &Tensor) -> Result<usize, Tens
 ///
 /// # Errors
 ///
-/// Same shape/rank errors as [`matmul_into`].
+/// Same shape/rank errors as [`gemm`].
 pub fn matmul_into_reference(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let (m, k, n) = validate(a, b, out)?;
     let av = a.as_slice();
@@ -422,7 +396,7 @@ pub fn matmul_into_reference(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result
 ///
 /// # Errors
 ///
-/// Same as [`matmul_into`].
+/// Same as [`gemm`].
 pub(crate) fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     if a.rank() != 2 || b.rank() != 2 {
         return Err(TensorError::RankMismatch {
@@ -432,7 +406,7 @@ pub(crate) fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         });
     }
     let mut out = Tensor::zeros(&[a.dims()[0], b.dims()[1]]);
-    matmul_into(a, b, &mut out)?;
+    gemm(a, b, &mut out)?;
     Ok(out)
 }
 
@@ -866,11 +840,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_overwrites_stale_output() {
+    fn gemm_overwrites_stale_output() {
         let a = Tensor::eye(2);
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         let mut out = Tensor::full(&[2, 2], 99.0);
-        matmul_into(&a, &b, &mut out).unwrap();
+        gemm(&a, &b, &mut out).unwrap();
         assert_eq!(out.as_slice(), b.as_slice(), "previous contents must not leak");
     }
 
@@ -891,14 +865,14 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_validates_out_shape() {
+    fn gemm_validates_out_shape() {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[3, 4]);
         let mut bad = Tensor::zeros(&[2, 3]);
-        assert!(matmul_into(&a, &b, &mut bad).is_err());
+        assert!(gemm(&a, &b, &mut bad).is_err());
         assert!(matmul_into_reference(&a, &b, &mut bad).is_err());
         let mut good = Tensor::zeros(&[2, 4]);
-        assert!(matmul_into(&a, &b, &mut good).is_ok());
+        assert!(gemm(&a, &b, &mut good).is_ok());
     }
 
     #[test]
@@ -906,7 +880,7 @@ mod tests {
         let a = Tensor::zeros(&[3, 0]);
         let b = Tensor::zeros(&[0, 2]);
         let mut out = Tensor::full(&[3, 2], 5.0);
-        matmul_into(&a, &b, &mut out).unwrap();
+        gemm(&a, &b, &mut out).unwrap();
         assert!(out.as_slice().iter().all(|&x| x == 0.0));
         // The fused-bias path must still see the bias on a k=0 product.
         let bias = Tensor::from_vec(vec![1.5, -2.0], &[2]).unwrap();

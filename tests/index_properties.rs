@@ -297,3 +297,53 @@ check! {
         prop_assert_eq!(bytes, bytes2);
     }
 }
+
+/// A small served system's `DUOINDX3` image under `mode`, plus the
+/// backbone its loads reuse.
+fn small_image(seed: u64, n: usize, nodes: usize, mode: IndexMode) -> (Backbone, Vec<u8>) {
+    let backbone = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut Rng64::new(9))
+        .unwrap();
+    let snapshot = GalleryIndex::with_mode(gallery(seed ^ 0x7A11, n, 4), mode);
+    let sys = RetrievalSystem::from_index(
+        backbone.clone(),
+        &snapshot,
+        RetrievalConfig { m: 3, nodes, threaded: false, index: mode },
+    )
+    .unwrap();
+    (backbone, GalleryIndex::to_v3_bytes(&sys).unwrap().1)
+}
+
+check! {
+    #![config(Config::default().with_cases(8))]
+
+    /// Untrusted images fail closed: every strict prefix of a valid
+    /// `DUOINDX3` image, and the image under a retired (`DUOINDX1`,
+    /// `DUOINDX2`) or garbage magic, is rejected with a typed
+    /// `RetrievalError`, never a panic; the whole image loads.
+    fn duoindx3_truncated_or_foreign_images_are_rejected(
+        seed in 0u64..1_000_000,
+        n in 1usize..12,
+        nodes in 1usize..3,
+    ) {
+        let mode = match seed % 4 {
+            0 => IndexMode::Exact,
+            1 => IndexMode::ivf(2, 1),
+            2 => IndexMode::pq(2, 1, 2, 4, 4),
+            _ => IndexMode::sq8(2, 1, 4),
+        };
+        let (backbone, bytes) = small_image(seed, n, nodes, mode);
+        let load = |image: &[u8]| {
+            RetrievalSystem::from_v3_bytes(backbone.clone(), image, RetrievalConfig::default())
+        };
+        prop_assert_eq!(load(&bytes).map(|s| s.gallery_len()).ok(), Some(n));
+        for cut in 0..bytes.len() {
+            prop_assert!(load(&bytes[..cut]).is_err(), "prefix of {cut}/{} bytes loaded", bytes.len());
+        }
+        let garbage = (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1).to_le_bytes();
+        for magic in [*b"DUOINDX1", *b"DUOINDX2", garbage] {
+            let mut foreign = bytes.clone();
+            foreign[..8].copy_from_slice(&magic);
+            prop_assert!(load(&foreign).is_err(), "magic {magic:?} loaded");
+        }
+    }
+}
